@@ -20,6 +20,7 @@ from dataclasses import dataclass, replace
 from typing import Any, Dict, Optional
 
 from repro.hymm.config import HyMMConfig
+from repro.sim.replay import timing_config_dict
 
 #: Version of the JobSpec/RunResult wire format.  Bump whenever the
 #: canonical payload or the serialised result layout changes; every
@@ -39,6 +40,11 @@ def _package_version() -> str:
     import repro
 
     return getattr(repro, "__version__", "0")
+
+
+def _digest(payload: Dict[str, Any]) -> str:
+    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
 @dataclass(frozen=True)
@@ -99,10 +105,7 @@ class JobSpec:
 
     def fingerprint(self) -> str:
         """Stable SHA-256 hex digest of the canonical payload."""
-        blob = json.dumps(
-            self.canonical_payload(), sort_keys=True, separators=(",", ":")
-        )
-        return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+        return _digest(self.canonical_payload())
 
     # ------------------------------------------------------------------
     # Serialisation (manifests, cache records)
@@ -143,14 +146,21 @@ class JobSpec:
     def trace_dir(self, root: str) -> str:
         """This job's phase-trace directory under ``root``.
 
-        One directory per job fingerprint, hash-prefixed one level so a
-        long-lived trace tree never piles every job into one flat dir.
-        The chained phase signatures inside are already collision-free
-        across jobs; the per-job directory exists so a job's traces can
-        be inspected, sized, or evicted as a unit.
+        Keyed like the fingerprint, but on the payload with the
+        timing-exempt config fields (``BASE_TIMING_EXEMPT``: ``engine``,
+        ``clock_ghz``) removed, so sweep points that differ only in
+        those share one directory and replay each other's phases --
+        the phase signatures inside already ignore the same fields.
+        Hash-prefixed one level so a long-lived trace tree never piles
+        every job into one flat dir.  The chained phase signatures are
+        collision-free across jobs; the per-job directory exists so a
+        job's traces can be inspected, sized, or evicted as a unit.
         """
-        fp = self.fingerprint()
-        return os.path.join(root, fp[:2], fp)
+        payload = self.canonical_payload()
+        if self.config is not None:
+            payload["config"] = timing_config_dict(self.config)
+        key = _digest(payload)
+        return os.path.join(root, key[:2], key)
 
     def with_overrides(self, **config_overrides) -> "JobSpec":
         """A copy whose config applies ``config_overrides`` on top of the

@@ -32,10 +32,13 @@ of on-grid quantities), so JSON round-trips the state exactly.
 
 The timing config drops fields with no effect on simulated cycles
 (``engine`` -- the scalar and batched engines are bit-identical by the
-equivalence contract -- and ``clock_ghz``, a pure reporting scale);
-accelerators extend the exemption set via
+equivalence contract -- and ``clock_ghz``, a pure reporting scale).
+``JobSpec.trace_dir`` drops the same two fields from its per-job
+directory key, so sweep points that vary only those replay each
+other's phases.  Accelerators extend the signature's exemption set via
 ``AcceleratorBase.phase_config_exempt`` for knobs their dataflow never
-reads, widening trace sharing across ablation sweeps.
+reads; records then match within one store, but a job spec alone does
+not name those knobs, so they still key separate job directories.
 
 Storage is a :class:`repro.runtime.cache.TraceStore` (sharded layout,
 atomic writes, corrupt-record eviction); invalidation is structural --

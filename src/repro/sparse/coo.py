@@ -5,6 +5,12 @@ generators emit COO, and every compressed format (CSR/CSC, the tiled
 region format) is derived from it.  Entries are canonicalised --
 row-major sorted with duplicates summed -- on construction so that
 format conversions and equality checks are deterministic.
+
+Canonical order is the order of the single integer key
+``row * n_cols + col``: the key is unique per coordinate and monotone in
+``(row, col)``, so one stable sort of it gives exactly the two-key
+(lexicographic) order, and equal keys -- duplicates -- keep their input
+order, so their sums are accumulated in the same sequence as well.
 """
 
 from __future__ import annotations
@@ -21,6 +27,10 @@ VALUE_DTYPE = np.float32
 INDEX_BYTES = 4
 #: Bytes per stored non-zero value (single precision, Table III).
 VALUE_BYTES = 4
+
+#: Largest ``n_rows * n_cols`` whose row-major keys fit in ``int64``
+#: (the largest key is ``n_rows * n_cols - 1``).
+MAX_KEYED_CELLS = 2**63
 
 
 @dataclass
@@ -49,6 +59,11 @@ class COOMatrix:
 
     def __post_init__(self) -> None:
         self.shape = (int(self.shape[0]), int(self.shape[1]))
+        if self.shape[0] * self.shape[1] > MAX_KEYED_CELLS:
+            raise ValueError(
+                f"shape {self.shape} has more cells than an int64 "
+                "row-major key can address"
+            )
         self.rows = np.asarray(self.rows, dtype=INDEX_DTYPE)
         self.cols = np.asarray(self.cols, dtype=INDEX_DTYPE)
         self.values = np.asarray(self.values, dtype=VALUE_DTYPE)
@@ -76,21 +91,18 @@ class COOMatrix:
         """Sort row-major and merge duplicate coordinates by summing."""
         if self.rows.size == 0:
             return
-        if self.rows.size > 1:
-            row_step = self.rows[1:] > self.rows[:-1]
-            col_step = (self.rows[1:] == self.rows[:-1]) & (
-                self.cols[1:] > self.cols[:-1]
-            )
-            if bool(np.all(row_step | col_step)):
-                # Already row-major sorted with no duplicate coordinates:
-                # the O(nnz) check above is far cheaper than the lexsort.
-                return
-        order = np.lexsort((self.cols, self.rows))
+        key = self.rows * self.shape[1] + self.cols
+        if bool(np.all(key[1:] > key[:-1])):
+            # Already row-major sorted with no duplicate coordinates:
+            # the O(nnz) check is far cheaper than the sort.
+            return
+        order = np.argsort(key, kind="stable")
+        key = key[order]
         rows, cols, values = self.rows[order], self.cols[order], self.values[order]
         # Detect runs of identical (row, col) pairs and sum their values.
         new_run = np.empty(rows.size, dtype=bool)
         new_run[0] = True
-        new_run[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
+        new_run[1:] = key[1:] != key[:-1]
         if new_run.all():
             self.rows, self.cols, self.values = rows, cols, values
             return

@@ -15,6 +15,9 @@ import numpy as np
 
 from repro.sparse.coo import COOMatrix, INDEX_BYTES, INDEX_DTYPE, VALUE_BYTES, VALUE_DTYPE
 
+#: Widest column count whose indices fit the radix-sortable ``uint16``.
+_RADIX_MAX_COLS = int(np.iinfo(np.uint16).max)
+
 
 @dataclass
 class CSCMatrix:
@@ -103,15 +106,20 @@ class CSCMatrix:
 
     @classmethod
     def from_coo(cls, coo: COOMatrix) -> "CSCMatrix":
-        """Compress canonical COO triplets, re-sorting to column-major order."""
-        order = np.lexsort((coo.rows, coo.cols))
-        rows = coo.rows[order]
-        cols = coo.cols[order]
-        values = coo.values[order]
-        indptr = np.zeros(coo.shape[1] + 1, dtype=INDEX_DTYPE)
-        np.add.at(indptr, cols + 1, 1)
-        np.cumsum(indptr, out=indptr)
-        return cls(coo.shape, indptr, rows, values)
+        """Compress canonical COO triplets, re-sorting to column-major order.
+
+        Canonical COO is row-major, so a *stable* sort on the column
+        index alone leaves rows ascending within every column -- the
+        same order as a two-key (column, row) sort.  Column indices that
+        fit in ``uint16`` are narrowed first, which lets numpy pick its
+        linear-time radix sort.
+        """
+        n_cols = coo.shape[1]
+        sort_cols = coo.cols.astype(np.uint16) if n_cols <= _RADIX_MAX_COLS else coo.cols
+        order = np.argsort(sort_cols, kind="stable")
+        indptr = np.zeros(n_cols + 1, dtype=INDEX_DTYPE)
+        np.cumsum(np.bincount(coo.cols, minlength=n_cols), out=indptr[1:])
+        return cls(coo.shape, indptr, coo.rows[order], coo.values[order])
 
     def __repr__(self) -> str:
         return f"CSCMatrix(shape={self.shape}, nnz={self.nnz})"

@@ -108,9 +108,49 @@ class CSRMatrix:
     def from_coo(cls, coo: COOMatrix) -> "CSRMatrix":
         """Compress canonical COO triplets (already row-major sorted)."""
         indptr = np.zeros(coo.shape[0] + 1, dtype=INDEX_DTYPE)
-        np.add.at(indptr, coo.rows + 1, 1)
-        np.cumsum(indptr, out=indptr)
+        np.cumsum(np.bincount(coo.rows, minlength=coo.shape[0]), out=indptr[1:])
         return cls(coo.shape, indptr, coo.cols.copy(), coo.values.copy())
+
+    def columns_ascend(self) -> bool:
+        """Whether column indices strictly ascend within every row, O(nnz)."""
+        step = np.diff(self.indices) > 0
+        # A step across a row boundary may descend.
+        starts = self.indptr[1:-1]
+        step[starts[(starts > 0) & (starts < self.nnz)] - 1] = True
+        return bool(step.all())
+
+    def permute_rows(self, perm: np.ndarray) -> "CSRMatrix":
+        """Relabel rows: row ``i`` moves to ``perm[i]`` (old -> new index).
+
+        The row-only case of :meth:`COOMatrix.permute` followed by
+        compression, in O(nnz) with no sort: each row's slice moves
+        whole, and its column indices stay ascending.  ``perm`` must be
+        a bijection on the rows; relabellings that merge rows go through
+        :meth:`COOMatrix.permute`, which sums the colliding entries.
+
+        A matrix built from raw arrays may hold unsorted or repeated
+        column indices within a row; it takes the COO route, which
+        sorts and merges them, so the result is canonical either way.
+        """
+        n_rows = self.shape[0]
+        perm = np.asarray(perm, dtype=INDEX_DTYPE)
+        if perm.shape != (n_rows,) or (
+            n_rows and (perm.min() < 0 or perm.max() >= n_rows)
+        ):
+            raise ValueError(f"perm must map the {n_rows} rows into [0, {n_rows})")
+        if not np.all(np.bincount(perm, minlength=n_rows) == 1):
+            raise ValueError("perm must be a bijection: two rows map to one")
+        if not self.columns_ascend():
+            return CSRMatrix.from_coo(self.to_coo().permute(row_perm=perm))
+        source = np.empty_like(perm)
+        source[perm] = np.arange(n_rows, dtype=INDEX_DTYPE)
+        counts = np.diff(self.indptr)[source]
+        indptr = np.zeros(n_rows + 1, dtype=INDEX_DTYPE)
+        np.cumsum(counts, out=indptr[1:])
+        # Entry k of new row r comes from old position indptr_old[source[r]] + k.
+        gather = np.repeat(self.indptr[source] - indptr[:-1], counts)
+        gather += np.arange(indptr[-1], dtype=INDEX_DTYPE)
+        return CSRMatrix(self.shape, indptr, self.indices[gather], self.values[gather])
 
     def __repr__(self) -> str:
         return f"CSRMatrix(shape={self.shape}, nnz={self.nnz})"

@@ -72,6 +72,30 @@ class TestFingerprint:
         assert _spec().canonical_payload()["schema_version"] == SCHEMA_VERSION
 
 
+class TestTraceDir:
+    @pytest.mark.parametrize("exempt", [{"clock_ghz": 2.0}, {"engine": "scalar"}])
+    def test_exempt_knobs_share_a_directory(self, exempt):
+        a = _spec(config=HyMMConfig())
+        b = a.with_overrides(**exempt)
+        assert a.fingerprint() != b.fingerprint()
+        assert a.trace_dir("root") == b.trace_dir("root")
+
+    def test_timing_knobs_split_directories(self):
+        a = _spec(config=HyMMConfig())
+        assert a.trace_dir("root") != a.with_overrides(
+            dmb_bytes=64 * 1024
+        ).trace_dir("root")
+        assert a.trace_dir("root") != _spec(config=None).trace_dir("root")
+        assert a.trace_dir("root") != _spec(
+            config=HyMMConfig(), seed=1
+        ).trace_dir("root")
+
+    def test_hash_prefixed_layout(self):
+        root, shard, key = _spec().trace_dir("root").split(os.sep)
+        assert root == "root" and len(key) == 64 and key.startswith(shard)
+        assert len(shard) == 2
+
+
 class TestValidation:
     def test_rejects_bad_fields(self):
         with pytest.raises(ValueError):

@@ -15,6 +15,7 @@ import json
 
 import pytest
 
+from repro.hymm import HyMMConfig
 from repro.runtime import JobSpec, SweepExecutor, execute_job
 from repro.runtime.cache import TraceStore
 from repro.sim.replay import RECORD_REQUIRED_KEYS, TraceSession
@@ -89,6 +90,30 @@ class TestExecutorRecordThenReplay:
     def test_execute_job_replay_off_has_no_side_channel(self):
         doc = execute_job(_spec(), replay=False)
         assert "replay" not in doc
+
+
+class TestExemptKnobSweeps:
+    """Sweep points differing only in timing-exempt knobs share traces."""
+
+    def test_clock_variant_replays_every_phase(self, tmp_path):
+        root = str(tmp_path)
+        base = _spec(n_layers=2, config=HyMMConfig(unified_buffer=False))
+        first = execute_job(base, trace_root_dir=root)
+        assert first["replay"] == {"replayed": 0, "recorded": 4}
+        fast = execute_job(base.with_overrides(clock_ghz=2.0), trace_root_dir=root)
+        assert fast["replay"] == {"replayed": 4, "recorded": 0}
+        # Only the reporting clock differs: the simulation is the same.
+        assert fast["stats"] == first["stats"]
+        assert fast["outputs"] == first["outputs"]
+
+    def test_timing_variant_replays_nothing(self, tmp_path):
+        root = str(tmp_path)
+        base = _spec(n_layers=2, config=HyMMConfig(unified_buffer=False))
+        execute_job(base, trace_root_dir=root)
+        smaller = execute_job(
+            base.with_overrides(dmb_bytes=64 * 1024), trace_root_dir=root
+        )
+        assert smaller["replay"] == {"replayed": 0, "recorded": 4}
 
 
 class TestFallback:

@@ -701,9 +701,9 @@ class CacheBuffer:
         readies: List[float],
         victims: Sequence[int],
         victim_dirty: Sequence[bool],
-        fill_dirty: bool,
     ) -> None:
-        """Bulk-apply one miss epoch's evictions and fills to the arena.
+        """Bulk-apply one miss epoch's evictions and dirty fills to the
+        arena.
 
         ``run``/``readies`` are the inserted addresses and their ready
         times in insert order; ``victims`` the pre-planned victim slots
@@ -753,7 +753,7 @@ class CacheBuffer:
             new_slots.reverse()
             del free[-m:]
         _drain(map(self._slot_cls.__setitem__, new_slots, repeat(ci)))
-        _drain(map(self._slot_dirty.__setitem__, new_slots, repeat(fill_dirty)))
+        _drain(map(self._slot_dirty.__setitem__, new_slots, repeat(True)))
         _drain(map(self._slot_ready.__setitem__, new_slots, readies))
         _drain(map(slot_addr.__setitem__, new_slots, run))
         ods[ci].update(zip(new_slots, repeat(None)))

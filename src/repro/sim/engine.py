@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from collections import OrderedDict
-from itertools import accumulate, repeat
+from itertools import repeat
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -49,24 +49,22 @@ _PARTIAL_IDX = CLASS_INDEX[CLASS_PARTIAL]
 #: (below this the numpy setup costs more than the flat loop saves).
 _LANE_MIN = 48
 
-#: Minimum distinct-miss run length worth processing as one epoch
-#: (below this the run scan + bulk commit cost more than the per-miss
-#: ``_read_miss``/``_insert`` frames they replace).
+#: Minimum remaining batch length for a store-side or merge epoch
+#: attempt, and the minimum merge-miss run worth processing as one
+#: epoch (below this the run scan + bulk commit cost more than the
+#: per-miss ``_read_miss``/``_insert`` frames they replace).
 _EPOCH_MIN = 8
 
-#: Minimum merge-*hit* run length.  Hit frames are far cheaper than
-#: miss frames (no MSHR/eviction machinery to skip), so the epoch's
-#: fixed per-attempt cost -- gather, distinctness and residency cuts,
-#: floor gather, window rebuild, bulk commit -- needs a longer run to
-#: amortize; short runs stay on the flat loop, which is already
-#: flat-in-locals.  Tuned on the gcod/cwp merge distributions (runs
-#: cluster at 8-16 with a long tail; the tail is where epochs pay).
-_MERGE_HIT_MIN = 64
-
-#: Minimum store/accumulate *hit* run length, same reasoning as
-#: ``_MERGE_HIT_MIN`` (one leg per frame instead of two, so the
-#: break-even sits lower).
+#: Minimum store/accumulate *hit* run length.  Hit frames are far
+#: cheaper than miss frames (no MSHR/eviction machinery to skip), so
+#: the epoch's fixed per-attempt cost -- gather, distinctness and
+#: residency cuts, window rebuild, bulk commit -- needs a longer run to
+#: amortize; short runs stay on the flat loop.
 _HIT_RUN_MIN = 24
+
+#: Declined vector attempts in a row after which the rest of a batch
+#: takes one flat pass (see :func:`_flat_chunk`).
+_DECLINE_BUDGET = 2
 
 #: Exactness gate for the vector lanes: every timeline value must sit
 #: on the 2^-16 dyadic grid with magnitude below 2^35.  All simulator
@@ -81,6 +79,47 @@ _LANE_MAG = float(1 << 35)
 
 def _lane_scalar_ok(v: float) -> bool:
     return -_LANE_MAG < v < _LANE_MAG and (v * 65536.0).is_integer()
+
+
+def _flat_chunk(
+    rounds: int,
+    addr_list: List[int],
+    i: int,
+    slot_of: Dict[int, int],
+    touched: Optional[Set[int]] = None,
+) -> Tuple[int, int]:
+    """Charge one declined vector attempt at ``addr_list[i]`` against
+    the budget ``rounds``; return ``(rounds, target)``.
+
+    The caller's flat loop then runs ``addr_list[i:target]`` and the
+    attempt retries at ``target``.  While budget remains, the chunk
+    ends where the frame shape flips -- residency, and for merges
+    (``touched`` given) also first touch vs read-modify-write -- so the
+    retry lands on a different run; once it is spent the remainder of
+    the batch takes one flat pass.  Every consumed run restores the
+    budget, which bounds declined-probe overhead on fragmented batches.
+    """
+    rounds -= 1
+    n = len(addr_list)
+    if not rounds:
+        return 0, n
+    a = addr_list[i]
+    j = i + 1
+    if touched is not None:
+        t_flag = a in touched
+        r_flag = a in slot_of
+        while j < n:
+            a = addr_list[j]
+            if (a in touched) != t_flag or (a in slot_of) != r_flag:
+                break
+            j += 1
+    elif a in slot_of:
+        while j < n and addr_list[j] in slot_of:
+            j += 1
+    else:
+        while j < n and addr_list[j] not in slot_of:
+            j += 1
+    return rounds, j
 
 
 class AccessExecuteEngine:
@@ -445,18 +484,20 @@ class BatchedAccessExecuteEngine(AccessExecuteEngine):
 
     On top of the flat loops, the batch primitives make *lazy* vector
     attempts at the cursor -- no pre-classification pass over the
-    batch.  Load-side, **all-hit runs** go through a numpy vector lane
+    batch -- and each primitive has one vector path.  Loads send
+    **all-hit runs** through a numpy vector lane
     (:meth:`_all_hit_lane`): when a run is entirely resident, ready in
     time, and outside the forwarding window, the uniform-latency
     timeline recurrence is computed elementwise in closed form and the
-    LRU touches applied as one run of C-level list splices.  **Distinct
-    primary-miss runs** (loads and allocating stores) go through the
-    epoch path (:meth:`_miss_epoch` / :meth:`_store_epoch`), which
-    replays the per-miss float recurrence with bulk state commits.
-    Both verify their own run and decline in O(1) probes, so an
-    attempt is nearly free; the lane additionally only engages when an
-    exactness gate proves the closed form bit-identical to the
-    sequential loop (all operands on a dyadic grid, see ``_LANE_MAG``).
+    LRU touches applied as one run of C-level list splices.  Stores and
+    accumulates send distinct **hit runs** through
+    :meth:`_hit_run_epoch`; merges send distinct **read-modify-write
+    miss runs** through :meth:`_merge_miss_epoch`, which replays the
+    per-miss float recurrence with bulk state commits.  Each path
+    verifies its own run and declines in O(1) probes, so an attempt is
+    nearly free; the closed forms additionally only engage when an
+    exactness gate proves them bit-identical to the sequential loop
+    (all operands on a dyadic grid, see ``_LANE_MAG``).
     Everything else takes the flat loop, which performs the *same
     scalar operations in the same order* as the reference engine.
     Either way every cycle value is bit-identical to the scalar engine
@@ -727,302 +768,7 @@ class BatchedAccessExecuteEngine(AccessExecuteEngine):
         return m
 
     # ------------------------------------------------------------------
-    # Miss epochs
-    # ------------------------------------------------------------------
-    def _miss_epoch(
-        self, buf: CacheBuffer, addr_list: List[int], i: int,
-        cls: str, tag: str, mac: bool,
-    ) -> int:
-        """Process a run of primary read misses as one epoch.
-
-        The run starting at ``addr_list[i]`` extends over consecutive
-        *distinct* addresses that are neither resident nor pending --
-        each one a primary miss whose processing cannot change the
-        classification of the ones after it (a fill only adds lines the
-        run does not revisit; evictions only remove lines the run never
-        holds, because victims are resident and run addresses are not).
-        That independence is the epoch invariant: the timing recurrence
-        below performs *exactly* the float operations of the flat
-        ``_read_miss`` path in the same order -- LSQ slot floor, MSHR
-        retire/capacity stalls against the monotone merged ready list,
-        channel occupancy with the dirty-victim writeback interleaved at
-        its exact position -- so every cycle value is bit-identical; the
-        arena/MSHR *state* mutations are deferred and applied in bulk
-        (:meth:`CacheBuffer._commit_epoch`, one MSHR file rebuild).
-
-        The run is additionally capped at ``free slots + plannable
-        victims`` (:meth:`CacheBuffer._plan_victims`); a capacity-capped
-        epoch simply ends early and the caller retries at the cut, so
-        chunking never loses coverage.  Returns addresses consumed (0 if
-        below ``_EPOCH_MIN``); the caller owns the hit/miss/byte stat
-        counters, exactly as it does around the flat ``_read_miss``.
-        """
-        slot_of = buf._slot_of
-        outstanding = buf._outstanding
-        a = addr_list[i]
-        if a in slot_of or a in outstanding:
-            # Fast decline -- the caller probes lazily, so a resident or
-            # pending cursor address is the common case; bail before any
-            # allocation.
-            return 0
-        n = len(addr_list)
-        run: List[int] = []
-        seen: Set[int] = set()
-        j = i
-        while j < n:
-            a = addr_list[j]
-            if a in slot_of or a in outstanding or a in seen:
-                break
-            run.append(a)
-            seen.add(a)
-            j += 1
-        m = len(run)
-        if m < _EPOCH_MIN:
-            return 0
-        free0 = len(buf._free_slots)
-        ci = CLASS_INDEX[cls]
-        victims: Sequence[int] = ()
-        if m > free0:
-            victims = buf._plan_victims(ci, m - free0)
-            cap = free0 + len(victims)
-            if cap < m:
-                if cap < _EPOCH_MIN:
-                    return 0
-                m = cap
-                del run[m:]
-        slot_dirty = buf._slot_dirty
-        vdirty = [slot_dirty[s] for s in victims]
-        fifo = buf._mshr_fifo
-        merged = [r for r, _ in fifo]
-        pre = len(merged)
-        popped = 0
-        limit = buf.mshr_entries
-        c = buf._line_cost
-        lat = buf._read_latency
-        dram = buf.dram
-        nf = dram.next_free
-        ring = self._ring
-        depth = self.lsq_depth
-        k = self._k % depth
-        issue_t = self.issue_t
-        exec_t = self.exec_t
-        readies: List[float] = []
-        rd_append = readies.append
-        mg_append = merged.append
-        for idx in range(m):
-            rk = ring[k]
-            b = issue_t + 1.0
-            if rk > b:
-                b = rk
-            # Retire completed misses, then stall for MSHR capacity:
-            # the merged ready list is monotone (each fetch's ready is
-            # strictly after its predecessor's), so retiring is a front
-            # pointer and the capacity stall binds at one element.
-            total = pre + idx
-            while popped < total and merged[popped] <= b:
-                popped += 1
-            over = total - limit + 1
-            if over > popped:
-                mo = merged[over - 1]
-                if mo > b:
-                    b = mo
-                popped = over
-            u = nf if nf > b else b
-            t = u + c
-            ready = t + lat
-            ev = idx - free0
-            if ev >= 0 and vdirty[ev]:
-                # Dirty victim: its writeback occupies the channel right
-                # after this fetch (``_insert`` runs after the fetch in
-                # ``_read_miss``, and its ``max(next_free, cycle)``
-                # floor resolves to ``next_free`` there).
-                nf = t + c
-            else:
-                nf = t
-            mg_append(ready)
-            rd_append(ready)
-            issue_t = b
-            if mac:
-                e = exec_t + 1.0
-                if ready > e:
-                    e = ready
-                exec_t = e
-            else:
-                if ready > exec_t:
-                    exec_t = ready
-            ring[k] = exec_t
-            k += 1
-            if k == depth:
-                k = 0
-        dram.next_free = nf
-        self.issue_t = issue_t
-        self.exec_t = exec_t
-        self._k += m
-        # Rebuild the MSHR file: surviving entries keep FIFO==ready
-        # order because every epoch ready exceeds every pre-epoch one
-        # (the channel clock is monotone).
-        if popped:
-            addrs_all = [a for _, a in fifo]
-            addrs_all += run
-            fifo.clear()
-            outstanding.clear()
-            rem_r = merged[popped:]
-            rem_a = addrs_all[popped:]
-            fifo.extend(zip(rem_r, rem_a))
-            outstanding.update(zip(rem_a, rem_r))
-        else:
-            fifo.extend(zip(readies, run))
-            outstanding.update(zip(run, readies))
-        buf._commit_epoch(ci, run, readies, victims, vdirty, False)
-        return m
-
-    def _store_epoch(
-        self, buf: CacheBuffer, addr_list: List[int], i: int,
-        cls: str, tag: str, partial: bool,
-    ) -> int:
-        """Process a run of write-allocate store misses as one epoch.
-
-        Same structure as :meth:`_miss_epoch` without the MSHR/fetch
-        machinery: each miss inserts a dirty line ready at ``issue +
-        hit_latency``, the write timeline advances by the LSQ slot
-        floor alone, and only dirty-victim writebacks touch the DRAM
-        channel.  ``partial=True`` (the accumulate path) additionally
-        excludes spilled addresses from the run (they take the flat
-        refetch path) and reproduces the per-insert partial footprint
-        bookkeeping -- ``partials_produced``, strided timeline samples,
-        and the peak, which within an epoch is the *final* footprint
-        because inserting one partial line per step never shrinks it.
-        The caller must sync ``stats.partials_produced`` /
-        ``partial_peak_bytes`` around the call, exactly as it does
-        around the flat spilled-refetch branch.
-        """
-        slot_of = buf._slot_of
-        spilled = buf._spilled_partials
-        a = addr_list[i]
-        if a in slot_of or (partial and a in spilled):
-            # Fast decline before any allocation; see _miss_epoch.
-            return 0
-        n = len(addr_list)
-        run: List[int] = []
-        seen: Set[int] = set()
-        j = i
-        if partial:
-            while j < n:
-                a = addr_list[j]
-                if a in slot_of or a in seen or a in spilled:
-                    break
-                run.append(a)
-                seen.add(a)
-                j += 1
-        else:
-            while j < n:
-                a = addr_list[j]
-                if a in slot_of or a in seen:
-                    break
-                run.append(a)
-                seen.add(a)
-                j += 1
-        m = len(run)
-        if m < _EPOCH_MIN:
-            return 0
-        free0 = len(buf._free_slots)
-        ci = CLASS_INDEX[cls]
-        victims: Sequence[int] = ()
-        if m > free0:
-            victims = buf._plan_victims(ci, m - free0)
-            cap = free0 + len(victims)
-            if cap < m:
-                if cap < _EPOCH_MIN:
-                    return 0
-                m = cap
-                del run[m:]
-        slot_dirty = buf._slot_dirty
-        vdirty = [slot_dirty[s] for s in victims]
-        c = buf._line_cost
-        hit_lat = buf.hit_latency
-        dram = buf.dram
-        nf = dram.next_free
-        ring = self._ring
-        depth = self.lsq_depth
-        k = self._k % depth
-        write_t = self.write_t
-        # Stores never advance the backend; the ring sees a constant
-        # exec floor and the forwarded ready value below is constant.
-        exec_t = self.exec_t
-        readies: List[float] = []
-        rd_append = readies.append
-        for idx in range(m):
-            rk = ring[k]
-            b = write_t + 1.0
-            if rk > b:
-                b = rk
-            write_t = b
-            rd_append(b + hit_lat)
-            ev = idx - free0
-            if ev >= 0 and vdirty[ev]:
-                u = nf if nf > b else b
-                nf = u + c
-            r2 = b + 1.0
-            if exec_t > r2:
-                r2 = exec_t
-            ring[k] = r2
-            k += 1
-            if k == depth:
-                k = 0
-        dram.next_free = nf
-        self.write_t = write_t
-        self._k += m
-        if self.forwarding:
-            # In-batch store-map updates (the deferred window trim stays
-            # at the caller's batch end, same as the flat loops).
-            store_map = self._store_map
-            spaces = self._store_spaces
-            for a in run:
-                if a in store_map:
-                    store_map[a] = exec_t
-                    store_map.move_to_end(a)
-                else:
-                    store_map[a] = exec_t
-                    sp = a >> _SPACE_BITS
-                    spaces[sp] = spaces.get(sp, 0) + 1
-        if partial:
-            stats = self.stats
-            counts = buf._class_count
-            line_bytes = buf.line_bytes
-            base_n = counts[_PARTIAL_IDX] + len(spilled)
-            # Only a *clean* partial victim shrinks the footprint (a
-            # dirty one moves resident -> spilled, net zero), so the
-            # per-insert footprint is ``base_n + t + 1`` minus a rare
-            # clean-partial-victim prefix count.
-            cls_arr = buf._slot_cls
-            cpv: Optional[List[int]] = None
-            if victims:
-                flags = [
-                    1 if (cls_arr[s] == _PARTIAL_IDX and not d) else 0
-                    for s, d in zip(victims, vdirty)
-                ]
-                if any(flags):
-                    cpv = list(accumulate(flags))
-            stride = stats.PARTIAL_TIMELINE_STRIDE
-            timeline = stats.partial_timeline
-            pp0 = stats.partials_produced
-            first = pp0 + 1
-            for p in range(first + (-first) % stride, pp0 + m + 1, stride):
-                t = p - pp0 - 1
-                e = t + 1 - free0
-                drop = cpv[e - 1] if (cpv is not None and e > 0) else 0
-                timeline.append((p, (base_n + t + 1 - drop) * line_bytes))
-            e = m - free0
-            drop = cpv[e - 1] if (cpv is not None and e > 0) else 0
-            foot = (base_n + m - drop) * line_bytes
-            if foot > stats.partial_peak_bytes:
-                stats.partial_peak_bytes = foot
-            stats.partials_produced = pp0 + m
-        buf._commit_epoch(ci, run, readies, victims, vdirty, True)
-        return m
-
-    # ------------------------------------------------------------------
-    # Merge / steady-state hit epochs
+    # Store-hit and merge-miss epochs
     # ------------------------------------------------------------------
     def _hit_run_epoch(
         self, buf: CacheBuffer, addr_list: List[int], i: int, tag: str,
@@ -1030,9 +776,9 @@ class BatchedAccessExecuteEngine(AccessExecuteEngine):
     ) -> int:
         """Process a run of store hits as one epoch.
 
-        The steady-state counterpart of :meth:`_store_epoch`: a run of
-        consecutive *distinct resident* addresses, each a store (or
-        near-memory accumulate) hit.  The exactness cut is residency:
+        The steady-state store shape: a run of consecutive *distinct
+        resident* addresses, each a store (or near-memory accumulate)
+        hit.  The exactness cut is residency:
         within such a run nothing inserts, evicts or spills, so no
         element's processing can change the classification of the ones
         after it, the partial footprint is constant, and the only state
@@ -1047,9 +793,9 @@ class BatchedAccessExecuteEngine(AccessExecuteEngine):
         ``partial=True`` (the accumulate path) reproduces the per-hit
         footprint bookkeeping against the stats object at the constant
         footprint -- the caller syncs ``partials_produced`` /
-        ``partial_peak_bytes`` around the call, exactly as around
-        :meth:`_store_epoch`.  Returns addresses consumed (0 if below
-        ``_EPOCH_MIN``); the caller owns the hit counter.
+        ``partial_peak_bytes`` around the call, exactly as around the
+        flat spilled-refetch branch.  Returns addresses consumed (0 if
+        below ``_HIT_RUN_MIN``); the caller owns the hit counter.
 
         On grid-exact configurations the whole write recurrence takes
         a closed form, the store-side analogue of :meth:`_all_hit_lane`:
@@ -1071,7 +817,9 @@ class BatchedAccessExecuteEngine(AccessExecuteEngine):
         """
         slot_of = buf._slot_of
         if addr_list[i] not in slot_of:
-            # Fast decline before any allocation; see _miss_epoch.
+            # Fast decline -- the caller probes lazily, so a
+            # non-resident cursor address is the common case; bail
+            # before any allocation.
             return 0
         n = len(addr_list)
         tail = addr_list[i:] if i else addr_list
@@ -1114,7 +862,7 @@ class BatchedAccessExecuteEngine(AccessExecuteEngine):
         k = self._k % depth
         write_t = self.write_t
         # Stores never advance the backend: constant exec floor and
-        # constant forwarded ready value, like _store_epoch.
+        # constant forwarded ready value, like the flat store loop.
         exec_t = self.exec_t
         readies: Optional[List[float]] = None
         if self._lane_grid_exact and m >= 64:
@@ -1236,303 +984,6 @@ class BatchedAccessExecuteEngine(AccessExecuteEngine):
         buf._commit_hit_epoch(slots, readies)
         return m
 
-    def _merge_hit_epoch(
-        self, buf: CacheBuffer, addr_list: List[int], i: int,
-        touched: Set[int],
-    ) -> Tuple[int, int]:
-        """Process a run of read-modify-write hits as one epoch.
-
-        The steady-state merge shape: a run of consecutive *distinct
-        resident already-touched* addresses, each one load + adder
-        cycle + store-back.  Residency is again the cut (nothing in the
-        run inserts or evicts, so classification and footprint are
-        frozen) and distinctness makes the slot mutations commute into
-        :meth:`CacheBuffer._commit_hit_epoch` -- the load leg's ready
-        floors are pre-gathered (an earlier frame's store-back only
-        writes its *own* slot, never a later frame's), and the net LRU
-        effect of a frame's load-touch + store-touch of the same slot
-        is one splice.  The coupled issue/write/exec recurrence runs
-        flat-in-locals with the exact float op order of the flat rmw
-        path.
-
-        The forwarding window resolves without declining.  When the
-        window holds *none* of the run's addresses at entry, no load in
-        the run can ever forward -- in-run stores only add run
-        addresses, each distinct from every later load, and trims only
-        remove entries -- so the per-frame probe disappears and the
-        per-store insert/trim sequence commutes into one bulk append +
-        trim at the end (inserting ``m`` distinct new entries one at a
-        time, trimming after each, ends in exactly the same window as
-        inserting all ``m`` and then trimming: the pops take the same
-        entries in the same order either way).
-
-        An *overlapping* run keeps the per-frame probe but defers the
-        dict surgery.  A load forwards iff its address sits in the
-        pre-run window and has not been trimmed yet (in-run stores
-        never serve in-run loads -- the run's addresses are distinct),
-        and its forwarded value is the pre-run entry's, untouched; the
-        frame's store then *refreshes* that entry while a
-        non-forwarding frame's store *inserts* and, past ``lsq_depth``,
-        trims the oldest unconsumed pre-run entry.  Trims never reach
-        in-run entries: ``inserts + refreshes = m <= lsq_depth`` while
-        pops number at most ``inserts``, so unconsumed pre-run entries
-        always suffice.  A ``gone`` set over the (unmutated) pre-run
-        snapshot therefore resolves every probe and pop exactly, and
-        the final window -- unconsumed pre-run survivors in order, then
-        the run in run order -- is rebuilt with bulk deletes and one
-        C-level ``update``.  Timing stays on the flat loop's exact
-        float op order either way; only the window bookkeeping moves.
-
-        Returns ``(consumed, forwards)``; the caller owns every stat
-        counter (the tuple shape mirrors the flat path's accounting:
-        each frame's store-back hits, each unforwarded load hits,
-        forwarded loads count as forwards).
-        """
-        slot_of = buf._slot_of
-        a = addr_list[i]
-        if a not in slot_of or a not in touched:
-            # Fast decline before any allocation; see _miss_epoch.
-            return 0, 0
-        slot_ready = buf._slot_ready
-        n = len(addr_list)
-        # Cap the gather at lsq_depth frames per attempt: a long run
-        # then costs O(depth) per attempt instead of O(remaining
-        # batch) -- re-attempts after each consumed chunk would
-        # otherwise go quadratic -- and the window trim-resolution
-        # argument (docstring) needs ``m <= lsq_depth``.
-        stop = i + self.lsq_depth
-        if stop > n:
-            stop = n
-        tail = addr_list[i:stop] if (i or stop < n) else addr_list
-        try:
-            # C-level gather, same trick as _all_hit_lane.
-            slots = list(map(slot_of.__getitem__, tail))
-            run = tail
-            m = stop - i
-        except KeyError:
-            j = i + 1
-            while j < stop and addr_list[j] in slot_of:
-                j += 1
-            m = j - i
-            if m < _MERGE_HIT_MIN:
-                return 0, 0
-            run = addr_list[i:j]
-            slots = list(map(slot_of.__getitem__, run))
-        if not touched.issuperset(run):
-            # First untouched address cuts the run.
-            mm = 1
-            while mm < m and run[mm] in touched:
-                mm += 1
-            if mm < _MERGE_HIT_MIN:
-                return 0, 0
-            m = mm
-            run = run[:m]
-            slots = slots[:m]
-        if len(set(run)) != m:
-            # A duplicate cuts the run: rescan for the first repeat.
-            seen: Set[int] = set()
-            seen_add = seen.add
-            mm = 0
-            for a in run:
-                if a in seen:
-                    break
-                seen_add(a)
-                mm += 1
-            if mm < _MERGE_HIT_MIN:
-                return 0, 0
-            m = mm
-            run = run[:m]
-            slots = slots[:m]
-        if m < _MERGE_HIT_MIN:
-            return 0, 0
-        fwd = self.forwarding
-        store_map = self._store_map
-        overlap = (
-            fwd
-            and bool(store_map)
-            and not store_map.keys().isdisjoint(run)
-        )
-        if overlap and (
-            len(store_map) > self.lsq_depth
-            or run[0] >> _SPACE_BITS != run[m - 1] >> _SPACE_BITS
-        ):
-            # The trim-resolution argument needs the window at or
-            # below lsq_depth on entry (every in-tree caller keeps it
-            # there), and a mixed-space overlapping run would need
-            # per-frame insert tracking for the space counts.  Both
-            # are vanishing cases: decline to the flat loop.  (Equal
-            # first/last spaces mean the whole single-region run, per
-            # the monotone-address-batch invariant; see
-            # _forward_active.)
-            return 0, 0
-        floors = list(map(slot_ready.__getitem__, slots))
-        hit_lat = buf.hit_latency
-        ring = self._ring
-        depth = self.lsq_depth
-        k = self._k % depth
-        issue_t = self.issue_t
-        write_t = self.write_t
-        exec_t = self.exec_t
-        readies: List[float] = []
-        rd_append = readies.append
-        wvals: List[float] = []
-        wv_append = wvals.append
-        nfw = 0
-        if overlap:
-            # Per-frame window resolution against the pre-run snapshot
-            # (dict surgery deferred; see docstring).
-            dels: List[int] = []
-            popped: List[int] = []
-            gone: Set[int] = set()
-            gone_add = gone.add
-            dels_append = dels.append
-            popped_append = popped.append
-            sm_get = store_map.get
-            order_it = None
-            size = len(store_map)
-            for a, f in zip(run, floors):
-                # Load leg (rmw = load + alu_op(1) + store).
-                rk = ring[k]
-                b = issue_t + 1.0
-                if rk > b:
-                    b = rk
-                v = sm_get(a)
-                if v is not None and a not in gone:
-                    # Forwarded from the pre-run entry; the store leg
-                    # below refreshes it (no size change).
-                    ready = v
-                    if b > ready:
-                        ready = b
-                    gone_add(a)
-                    dels_append(a)
-                    nfw += 1
-                else:
-                    ready = b + hit_lat
-                    if f > ready:
-                        ready = f
-                    size += 1
-                    if size > depth:
-                        # Trim the oldest unconsumed pre-run entry.
-                        if order_it is None:
-                            order_it = iter(tuple(store_map))
-                        for a2 in order_it:
-                            if a2 not in gone:
-                                gone_add(a2)
-                                popped_append(a2)
-                                dels_append(a2)
-                                size -= 1
-                                break
-                issue_t = b
-                if ready > exec_t:
-                    exec_t = ready
-                ring[k] = exec_t
-                k += 1
-                if k == depth:
-                    k = 0
-                exec_t += 1.0
-                # Store leg.
-                rk = ring[k]
-                b2 = write_t + 1.0
-                if rk > b2:
-                    b2 = rk
-                write_t = b2
-                rd_append(b2 + hit_lat)
-                r2 = b2 + 1.0
-                if exec_t > r2:
-                    r2 = exec_t
-                ring[k] = r2
-                k += 1
-                if k == depth:
-                    k = 0
-                wv_append(exec_t)
-        else:
-            for f in floors:
-                # Load leg (rmw = load + alu_op(1) + store).
-                rk = ring[k]
-                b = issue_t + 1.0
-                if rk > b:
-                    b = rk
-                ready = b + hit_lat
-                if f > ready:
-                    ready = f
-                issue_t = b
-                if ready > exec_t:
-                    exec_t = ready
-                ring[k] = exec_t
-                k += 1
-                if k == depth:
-                    k = 0
-                exec_t += 1.0
-                # Store leg.
-                rk = ring[k]
-                b2 = write_t + 1.0
-                if rk > b2:
-                    b2 = rk
-                write_t = b2
-                rd_append(b2 + hit_lat)
-                r2 = b2 + 1.0
-                if exec_t > r2:
-                    r2 = exec_t
-                ring[k] = r2
-                k += 1
-                if k == depth:
-                    k = 0
-                wv_append(exec_t)
-        self.issue_t = issue_t
-        self.write_t = write_t
-        self.exec_t = exec_t
-        self._k += 2 * m
-        if fwd:
-            spaces = self._store_spaces
-            if overlap:
-                # Rebuild: drop refreshed + popped pre-run entries,
-                # then the run lands at the MRU end in run order.
-                for a2 in dels:
-                    del store_map[a2]
-                store_map.update(zip(run, wvals))
-                ins = m - nfw
-                if ins:
-                    # Single region by the decline above.
-                    sp = run[0] >> _SPACE_BITS
-                    spaces[sp] = spaces.get(sp, 0) + ins
-                for a2 in popped:
-                    sp = a2 >> _SPACE_BITS
-                    c = spaces[sp] - 1
-                    if c:
-                        spaces[sp] = c
-                    else:
-                        del spaces[sp]
-            else:
-                # Bulk window append + trim (see docstring for why
-                # this commutes with the per-store sequence).
-                store_map.update(zip(run, wvals))
-                sp = run[0] >> _SPACE_BITS
-                if sp == run[m - 1] >> _SPACE_BITS:
-                    spaces[sp] = spaces.get(sp, 0) + m
-                else:
-                    for a in run:
-                        sp = a >> _SPACE_BITS
-                        spaces[sp] = spaces.get(sp, 0) + 1
-                over = len(store_map) - depth
-                if over > 0:
-                    pop = store_map.popitem
-                    if len(spaces) == 1:
-                        for _ in repeat(None, over):
-                            pop(last=False)
-                        for sp in spaces:
-                            spaces[sp] = depth
-                    else:
-                        for _ in repeat(None, over):
-                            a2, _ = pop(last=False)
-                            sp = a2 >> _SPACE_BITS
-                            c = spaces[sp] - 1
-                            if c:
-                                spaces[sp] = c
-                            else:
-                                del spaces[sp]
-        buf._commit_hit_epoch(slots, readies)
-        return m, nfw
-
     def _merge_miss_epoch(
         self, buf: CacheBuffer, addr_list: List[int], i: int,
         cls: str, tag: str, touched: Set[int],
@@ -1540,23 +991,39 @@ class BatchedAccessExecuteEngine(AccessExecuteEngine):
         """Process a run of read-modify-write primary misses as one epoch.
 
         The thrash-bound merge shape (an already-touched output line
-        evicted between merges): each frame is a primary read miss --
-        the full :meth:`_miss_epoch` machinery of MSHR retire/capacity
-        stalls, channel occupancy and dirty-victim writebacks -- whose
+        evicted between merges): each frame is a primary read miss whose
         fill the same frame's store-back immediately hits, marking it
         dirty and raising its ready to ``max(fetch_ready, store_ready)``.
-        The epoch-cut argument is :meth:`_miss_epoch`'s verbatim (the
-        store-back touches only the frame's own just-filled line, which
-        no other frame of the run revisits), extended by the forwarding
-        window: a run address found in the window would forward instead
-        of missing, so it cuts the run -- and because the run's stores
-        only *add* its own (distinct) addresses and trims only *remove*
-        entries, an address absent from the window at the gather stays
-        absent until its own frame, keeping the pre-gathered probe
-        exact.  The fill readies fed to the MSHR file and the final
-        slot readies differ here (the store-back raises the latter);
-        both sequences stay monotone, so the FIFO rebuild and the
-        commit's watermark shortcut hold unchanged.
+
+        The run starting at ``addr_list[i]`` extends over consecutive
+        *distinct* touched addresses that are neither resident, pending
+        nor in the forwarding window -- each one a primary miss whose
+        processing cannot change the classification of the ones after
+        it: a fill only adds a line the run does not revisit (the
+        store-back touches only the frame's own just-filled line),
+        evictions only remove lines the run never holds (victims are
+        resident and run addresses are not), and the run's stores only
+        *add* its own addresses to the window while trims only *remove*
+        entries, so an address absent from the window at the gather
+        stays absent until its own frame.  That independence is the
+        epoch invariant: the timing recurrence below performs *exactly*
+        the float operations of the flat ``_read_miss`` path in the same
+        order -- LSQ slot floor, MSHR retire/capacity stalls against the
+        monotone merged ready list, channel occupancy with the
+        dirty-victim writeback interleaved at its exact position -- so
+        every cycle value is bit-identical; the arena/MSHR *state*
+        mutations are deferred and applied in bulk
+        (:meth:`CacheBuffer._commit_epoch`, one MSHR file rebuild).
+
+        The run is additionally capped at ``free slots + plannable
+        victims`` (:meth:`CacheBuffer._plan_victims`); a capacity-capped
+        epoch simply ends early and the caller retries at the cut, so
+        chunking never loses coverage.  The fill readies fed to the MSHR
+        file and the final slot readies differ (the store-back raises
+        the latter); both sequences stay monotone, so the FIFO rebuild
+        and the commit's watermark shortcut hold.  Returns addresses
+        consumed (0 if below ``_EPOCH_MIN``); the caller owns every stat
+        counter, exactly as it does around the flat ``_read_miss``.
         """
         slot_of = buf._slot_of
         outstanding = buf._outstanding
@@ -1569,7 +1036,9 @@ class BatchedAccessExecuteEngine(AccessExecuteEngine):
             or a not in touched
             or (fwd and a in store_map)
         ):
-            # Fast decline before any allocation; see _miss_epoch.
+            # Fast decline -- the caller probes lazily, so a cursor
+            # address off the merge-miss shape is the common case; bail
+            # before any allocation.
             return 0
         n = len(addr_list)
         run: List[int] = []
@@ -1625,13 +1094,16 @@ class BatchedAccessExecuteEngine(AccessExecuteEngine):
         rd_append = readies.append
         mg_append = merged.append
         for idx in range(m):
-            # Load leg: the _miss_epoch recurrence (see there for the
-            # retire/capacity/channel reasoning), with the rmw backend
-            # shape -- exec waits for the fetch, then one adder cycle.
+            # Load leg, with the rmw backend shape -- exec waits for the
+            # fetch, then one adder cycle.
             rk = ring[k]
             b = issue_t + 1.0
             if rk > b:
                 b = rk
+            # Retire completed misses, then stall for MSHR capacity:
+            # the merged ready list is monotone (each fetch's ready is
+            # strictly after its predecessor's), so retiring is a front
+            # pointer and the capacity stall binds at one element.
             total = pre + idx
             while popped < total and merged[popped] <= b:
                 popped += 1
@@ -1646,6 +1118,10 @@ class BatchedAccessExecuteEngine(AccessExecuteEngine):
             ready = t + lat
             ev = idx - free0
             if ev >= 0 and vdirty[ev]:
+                # Dirty victim: its writeback occupies the channel right
+                # after this fetch (``_insert`` runs after the fetch in
+                # ``_read_miss``, and its ``max(next_free, cycle)``
+                # floor resolves to ``next_free`` there).
                 nf = t + c
             else:
                 nf = t
@@ -1694,7 +1170,9 @@ class BatchedAccessExecuteEngine(AccessExecuteEngine):
         self.write_t = write_t
         self.exec_t = exec_t
         self._k += 2 * m
-        # Rebuild the MSHR file with the *fetch* readies; see _miss_epoch.
+        # Rebuild the MSHR file with the *fetch* readies: surviving
+        # entries keep FIFO==ready order because every epoch ready
+        # exceeds every pre-epoch one (the channel clock is monotone).
         if popped:
             addrs_all = [a for _, a in fifo]
             addrs_all += run
@@ -1708,7 +1186,7 @@ class BatchedAccessExecuteEngine(AccessExecuteEngine):
             fetch_readies = merged[pre:]
             fifo.extend(zip(fetch_readies, run))
             outstanding.update(zip(run, fetch_readies))
-        buf._commit_epoch(ci, run, readies, victims, vdirty, True)
+        buf._commit_epoch(ci, run, readies, victims, vdirty)
         return m
 
     # ------------------------------------------------------------------
@@ -1740,48 +1218,26 @@ class BatchedAccessExecuteEngine(AccessExecuteEngine):
         fetches = 0
         forwards = 0
         i = 0
-        # Vector attempts are *lazy* -- no pre-classification pass over
-        # the batch.  The lane and the epoch each verify their own run
-        # and decline in O(1) probes when the run at the cursor is
-        # short, so an all-hit batch costs exactly one lane pass and a
-        # cold miss stream goes straight into epochs.  After a decline
-        # the flat loop processes just the short run at the cursor and
-        # the attempts retry; the retry budget (restored by every
-        # consumed run) bounds declined-probe overhead on fragmented
-        # batches, beyond which the remainder takes one flat pass --
-        # the pre-epoch shape.
-        rounds = 0 if fwd else 2
+        # Lane attempts are *lazy* -- no pre-classification pass over
+        # the batch.  The lane verifies its own run and declines in O(1)
+        # probes when the run at the cursor is short or not resident,
+        # so an all-hit batch costs exactly one lane pass.  After a
+        # decline the flat loop processes just the run at the cursor
+        # and the lane retries, within the decline budget
+        # (:func:`_flat_chunk`).
+        rounds = 0 if fwd else _DECLINE_BUDGET
         while i < n:
             target = n
-            if rounds and n - i >= _EPOCH_MIN:
-                if n - i >= _LANE_MIN:
-                    consumed = self._all_hit_lane(
-                        buf, addr_list[i:] if i else addr_list, mac=True
-                    )
-                    if consumed:
-                        hits += consumed
-                        i += consumed
-                        rounds = 2
-                        continue
-                consumed = self._miss_epoch(
-                    buf, addr_list, i, cls, tag, mac=True
+            if rounds and n - i >= _LANE_MIN:
+                consumed = self._all_hit_lane(
+                    buf, addr_list[i:] if i else addr_list, mac=True
                 )
                 if consumed:
-                    misses += consumed
-                    fetches += consumed
+                    hits += consumed
                     i += consumed
-                    rounds = 2
+                    rounds = _DECLINE_BUDGET
                     continue
-                rounds -= 1
-                if rounds:
-                    j = i + 1
-                    if addr_list[i] in slot_of:
-                        while j < n and addr_list[j] in slot_of:
-                            j += 1
-                    else:
-                        while j < n and addr_list[j] not in slot_of:
-                            j += 1
-                    target = j
+                rounds, target = _flat_chunk(rounds, addr_list, i, slot_of)
             k = self._k % depth
             issue_t = self.issue_t
             exec_t = self.exec_t
@@ -1871,40 +1327,21 @@ class BatchedAccessExecuteEngine(AccessExecuteEngine):
         fetches = 0
         forwards = 0
         i = 0
-        # Lazy vector attempts with a decline budget; see
+        # Lazy lane attempts with a decline budget; see
         # :meth:`mac_load_batch`.
-        rounds = 0 if fwd else 2
+        rounds = 0 if fwd else _DECLINE_BUDGET
         while i < n:
             target = n
-            if rounds and n - i >= _EPOCH_MIN:
-                if n - i >= _LANE_MIN:
-                    consumed = self._all_hit_lane(
-                        buf, addr_list[i:] if i else addr_list, mac=False
-                    )
-                    if consumed:
-                        hits += consumed
-                        i += consumed
-                        rounds = 2
-                        continue
-                consumed = self._miss_epoch(
-                    buf, addr_list, i, cls, tag, mac=False
+            if rounds and n - i >= _LANE_MIN:
+                consumed = self._all_hit_lane(
+                    buf, addr_list[i:] if i else addr_list, mac=False
                 )
                 if consumed:
-                    misses += consumed
-                    fetches += consumed
+                    hits += consumed
                     i += consumed
-                    rounds = 2
+                    rounds = _DECLINE_BUDGET
                     continue
-                rounds -= 1
-                if rounds:
-                    j = i + 1
-                    if addr_list[i] in slot_of:
-                        while j < n and addr_list[j] in slot_of:
-                            j += 1
-                    else:
-                        while j < n and addr_list[j] not in slot_of:
-                            j += 1
-                    target = j
+                rounds, target = _flat_chunk(rounds, addr_list, i, slot_of)
             k = self._k % depth
             issue_t = self.issue_t
             exec_t = self.exec_t
@@ -2122,42 +1559,22 @@ class BatchedAccessExecuteEngine(AccessExecuteEngine):
         posted = 0
         i = 0
         # Lazy epoch attempts with a decline budget; see
-        # :meth:`mac_load_batch` (stores have no all-hit lane).  Hit
-        # runs ride `_hit_run_epoch`; write-allocate miss runs ride
-        # `_store_epoch` (no-allocate misses stream flat).
-        rounds = 2
+        # :meth:`mac_load_batch`.  Hit runs ride `_hit_run_epoch`;
+        # misses take the flat loop.
+        rounds = _DECLINE_BUDGET
         while i < n:
             target = n
             if rounds and n - i >= _EPOCH_MIN:
-                if addr_list[i] in slot_of:
-                    if n - i >= _HIT_RUN_MIN:
-                        consumed = self._hit_run_epoch(
-                            buf, addr_list, i, tag, partial=False
-                        )
-                        if consumed:
-                            hits += consumed
-                            i += consumed
-                            rounds = 2
-                            continue
-                elif allocate:
-                    consumed = self._store_epoch(
-                        buf, addr_list, i, cls, tag, partial=False
+                if n - i >= _HIT_RUN_MIN and addr_list[i] in slot_of:
+                    consumed = self._hit_run_epoch(
+                        buf, addr_list, i, tag, partial=False
                     )
                     if consumed:
-                        misses += consumed
+                        hits += consumed
                         i += consumed
-                        rounds = 2
+                        rounds = _DECLINE_BUDGET
                         continue
-                rounds -= 1
-                if rounds:
-                    j = i + 1
-                    if addr_list[i] in slot_of:
-                        while j < n and addr_list[j] in slot_of:
-                            j += 1
-                    else:
-                        while j < n and addr_list[j] not in slot_of:
-                            j += 1
-                    target = j
+                rounds, target = _flat_chunk(rounds, addr_list, i, slot_of)
             k = self._k % depth
             write_t = self.write_t
             for addr in addr_list[i:target]:
@@ -2285,61 +1702,29 @@ class BatchedAccessExecuteEngine(AccessExecuteEngine):
         i = 0
         # Lazy epoch attempts with a decline budget; see
         # :meth:`mac_load_batch`.
-        rounds = 2
+        rounds = _DECLINE_BUDGET
         while i < n:
             target = n
             if rounds and n - i >= _EPOCH_MIN:
-                consumed = 0
-                a0 = addr_list[i]
-                if a0 in slot_of:
-                    if n - i >= _HIT_RUN_MIN:
-                        # Hit-run epoch: the epoch reproduces the
-                        # per-hit footprint/timeline bookkeeping
-                        # against the stats object at the constant
-                        # footprint -- sync the locals around it, like
-                        # the flat spilled-refetch branch does.
-                        stats.partials_produced = pp
-                        stats.partial_peak_bytes = peak
-                        consumed = self._hit_run_epoch(
-                            buf, addr_list, i, tag, partial=True
-                        )
-                        if consumed:
-                            hits += consumed
-                            pp = stats.partials_produced
-                            peak = stats.partial_peak_bytes
-                            i += consumed
-                            rounds = 2
-                            continue
-                elif a0 not in spilled:
-                    # The epoch reproduces the per-insert footprint
-                    # bookkeeping against the stats object: sync the
+                if n - i >= _HIT_RUN_MIN and addr_list[i] in slot_of:
+                    # Hit-run epoch: the epoch reproduces the per-hit
+                    # footprint/timeline bookkeeping against the stats
+                    # object at the constant footprint -- sync the
                     # locals around it, like the flat spilled-refetch
                     # branch does.
                     stats.partials_produced = pp
                     stats.partial_peak_bytes = peak
-                    consumed = self._store_epoch(
-                        buf, addr_list, i, CLASS_PARTIAL, tag, partial=True
+                    consumed = self._hit_run_epoch(
+                        buf, addr_list, i, tag, partial=True
                     )
                     if consumed:
-                        misses += consumed
+                        hits += consumed
                         pp = stats.partials_produced
                         peak = stats.partial_peak_bytes
-                        footprint = (
-                            counts[_PARTIAL_IDX] + len(spilled)
-                        ) * line_bytes
                         i += consumed
-                        rounds = 2
+                        rounds = _DECLINE_BUDGET
                         continue
-                rounds -= 1
-                if rounds:
-                    j = i + 1
-                    if addr_list[i] in slot_of:
-                        while j < n and addr_list[j] in slot_of:
-                            j += 1
-                    else:
-                        while j < n and addr_list[j] not in slot_of:
-                            j += 1
-                    target = j
+                rounds, target = _flat_chunk(rounds, addr_list, i, slot_of)
             k = self._k % depth
             write_t = self.write_t
             for addr in addr_list[i:target]:
@@ -2481,64 +1866,38 @@ class BatchedAccessExecuteEngine(AccessExecuteEngine):
         footprint = (
             target_counts[_PARTIAL_IDX] + len(target_spilled)
         ) * target_line_bytes
-        # Merge epochs defer the caller's per-frame peak check to one
-        # check per consumed run, which is exact only while the run's
-        # footprint is constant (hit runs) or monotone (partial-class
-        # fills); a non-partial merge with peak tracking -- no in-tree
-        # caller -- stays on the flat loop.
-        epoch_ok = not track_peak or cls == CLASS_PARTIAL
         i = 0
         # Lazy epoch attempts with a decline budget; see
-        # :meth:`mac_load_batch`.
-        rounds = 2 if epoch_ok else 0
+        # :meth:`mac_load_batch`.  The merge-miss epoch defers the
+        # per-frame peak check to one check per consumed run, which is
+        # exact only while the run's footprint is monotone
+        # (partial-class fills); a non-partial merge with peak tracking
+        # -- no in-tree caller -- stays on the flat loop.
+        rounds = _DECLINE_BUDGET if not track_peak or cls == CLASS_PARTIAL else 0
         while i < n:
             target = n
             if rounds and n - i >= _EPOCH_MIN:
-                consumed = 0
-                a0 = addr_list[i]
-                if a0 in touched:
-                    if a0 in slot_of:
-                        if n - i >= _MERGE_HIT_MIN:
-                            consumed, fw = self._merge_hit_epoch(
-                                buf, addr_list, i, touched
-                            )
-                            if consumed:
-                                hits += 2 * consumed - fw
-                                forwards += fw
-                    else:
-                        consumed = self._merge_miss_epoch(
-                            buf, addr_list, i, cls, tag, touched
-                        )
-                        if consumed:
-                            misses += consumed
-                            fetches += consumed
-                            hits += consumed
-                            footprint = (
-                                target_counts[_PARTIAL_IDX]
-                                + len(target_spilled)
-                            ) * target_line_bytes
+                consumed = self._merge_miss_epoch(
+                    buf, addr_list, i, cls, tag, touched
+                )
                 if consumed:
                     requests += 2 * consumed
                     busy += consumed
                     pp += consumed
+                    misses += consumed
+                    fetches += consumed
+                    hits += consumed
+                    footprint = (
+                        target_counts[_PARTIAL_IDX] + len(target_spilled)
+                    ) * target_line_bytes
                     if track_peak and footprint > peak:
                         peak = footprint
                     i += consumed
-                    rounds = 2
+                    rounds = _DECLINE_BUDGET
                     continue
-                rounds -= 1
-                if rounds:
-                    # Flat-chunk to the next frame-shape flip (first
-                    # touch vs rmw, resident vs not) before retrying.
-                    t_flag = a0 in touched
-                    r_flag = a0 in slot_of
-                    j = i + 1
-                    while j < n:
-                        a = addr_list[j]
-                        if (a in touched) != t_flag or (a in slot_of) != r_flag:
-                            break
-                        j += 1
-                    target = j
+                rounds, target = _flat_chunk(
+                    rounds, addr_list, i, slot_of, touched
+                )
             k = self._k % depth
             issue_t = self.issue_t
             write_t = self.write_t

@@ -188,14 +188,16 @@ def _assert_engines_agree(pair, context=""):
 
 
 class TestEpochEngineDifferential:
-    """Drive the epoch-vectorized miss path (batched engine + arena)
-    against the scalar reference loops over the legacy buffer.
+    """Drive the batched engine over the arena against the scalar
+    reference loops over the legacy buffer.
 
-    Batches of >= 8 fresh misses engage ``_miss_epoch``/``_store_epoch``
-    (``_EPOCH_MIN``); the cases below force the epoch *cut* conditions
-    -- duplicates inside a run, residency feedback from in-batch fills,
-    MSHR capacity stalls, victim exhaustion -- where the vectorized
-    bookkeeping is most likely to diverge from the sequential truth.
+    Load, store and accumulate misses take the batched engine's flat
+    loops, so the miss cases below check the flat path against the
+    scalar engine where the bookkeeping is most likely to diverge from
+    the sequential truth: duplicates inside a run, residency feedback
+    from in-batch fills, MSHR capacity stalls, victim exhaustion.  The
+    hit-run, all-hit-lane and merge cases drive the vector paths, and
+    ``test_vector_path_engages`` pins that each one actually runs.
     """
 
     # Two disjoint address spaces (bit 40 apart, like AddressMap's
@@ -215,8 +217,8 @@ class TestEpochEngineDifferential:
             getattr(engine, method)(*args)
 
     def test_miss_burst_then_refeed(self):
-        """A fresh distinct-address burst (pure epoch) followed by the
-        same addresses again (all-hit feedback from the epoch's own
+        """A fresh distinct-address burst (flat misses) followed by the
+        same addresses again (all-hit feedback from the burst's own
         fills)."""
         pair = _make_engine_pair()
         burst = np.asarray([self._laddr(i) for i in range(16)], dtype=np.int64)
@@ -226,8 +228,8 @@ class TestEpochEngineDifferential:
         _assert_engines_agree(pair, "after refeed")
 
     def test_duplicate_inside_miss_run(self):
-        """A duplicate inside a would-be epoch run forces a cut: the
-        second occurrence must see the first's fill."""
+        """A duplicate inside a miss run: the second occurrence must
+        see the first's fill."""
         pair = _make_engine_pair()
         idx = [0, 1, 2, 3, 4, 5, 6, 7, 8, 3, 9, 10, 11, 12, 13, 14]
         addrs = np.asarray([self._laddr(i) for i in idx], dtype=np.int64)
@@ -236,17 +238,16 @@ class TestEpochEngineDifferential:
 
     def test_mshr_saturation_inside_epoch(self):
         """More distinct misses in one batch than MSHR entries: the
-        epoch's cumulative capacity walk must stall exactly like the
-        scalar retire loop."""
+        flat path's capacity stalls must match the scalar retire
+        loop."""
         pair = _make_engine_pair(mshr_entries=2)
         addrs = np.asarray([self._laddr(i) for i in range(20)], dtype=np.int64)
         self._both(pair, "mac_load_batch", addrs, "W", "adj")
         _assert_engines_agree(pair)
 
     def test_capacity_chunking_and_victim_exhaustion(self):
-        """A miss run larger than the whole buffer: the epoch must cut
-        at free+victim exhaustion and chunk through, evicting its own
-        earlier fills."""
+        """A miss run larger than the whole buffer: the flat path
+        evicts the run's own earlier fills."""
         pair = _make_engine_pair(capacity_lines=12)
         addrs = np.asarray([self._laddr(i) for i in range(40)], dtype=np.int64)
         self._both(pair, "mac_load_batch", addrs, "W", "adj")
@@ -256,7 +257,7 @@ class TestEpochEngineDifferential:
         _assert_engines_agree(pair, "after second pass")
 
     def test_store_epoch_with_dirty_victims(self):
-        """Store bursts that evict dirty lines: the store epoch's
+        """Store bursts that evict dirty lines: the flat store path's
         writeback channel bumps must serialize like the scalar path."""
         pair = _make_engine_pair(capacity_lines=12)
         first = np.asarray([self._saddr(i) for i in range(12)], dtype=np.int64)
@@ -275,13 +276,13 @@ class TestEpochEngineDifferential:
         self._both(pair, "accumulate_store_batch", addrs, "partial")
         _assert_engines_agree(pair, "after spill burst")
         # Re-accumulate into a mix of resident, evicted and spilled
-        # lines -- the epoch run scan must exclude spilled addresses.
+        # lines -- spilled addresses take the refetch branch.
         self._both(pair, "accumulate_store_batch", addrs[:20], "partial")
         _assert_engines_agree(pair, "after re-accumulate")
 
     def test_forwarding_disabled_epochs(self):
-        """With forwarding off every load segment is epoch-eligible,
-        even interleaved with stores to the same space."""
+        """With forwarding off no load probes the store window, even
+        interleaved with stores to the same space."""
         pair = _make_engine_pair(forwarding=False)
         stores = np.asarray([self._laddr(i) for i in range(10)], dtype=np.int64)
         loads = np.asarray([self._laddr(i) for i in range(4, 24)], dtype=np.int64)
@@ -289,22 +290,84 @@ class TestEpochEngineDifferential:
         self._both(pair, "mac_load_batch", loads, "W", "adj")
         _assert_engines_agree(pair)
 
+    def test_all_hit_lane_refeed(self):
+        """Batches of >= 48 (``_LANE_MIN``) resident addresses, repeats
+        included, take the all-hit vector lane once the issue timeline
+        has passed the lines' ready times; both the MAC and the plain
+        load recurrence."""
+        pair = _make_engine_pair()
+        lines = [self._laddr(i) for i in range(16)]
+        burst = np.asarray(lines, dtype=np.int64)
+        refeed = np.asarray(lines * 4, dtype=np.int64)
+        self._both(pair, "mac_load_batch", burst, "W", "adj")
+        for step, method in enumerate(
+            ("mac_load_batch", "mac_load_batch", "load_batch")
+        ):
+            self._both(pair, method, refeed, "W", "adj")
+            _assert_engines_agree(pair, f"after refeed {step} ({method})")
+
+    def test_store_and_accumulate_hit_runs(self):
+        """Re-storing and re-accumulating distinct resident lines: runs
+        of >= 24 (``_HIT_RUN_MIN``) take the hit-run epoch, past 64 in
+        its closed form, with the forwarding window overlapping the
+        run."""
+        pair = _make_engine_pair(capacity_lines=192)
+        outs = np.asarray([self._saddr(i) for i in range(80)], dtype=np.int64)
+        parts = np.asarray(
+            [self._saddr(0x4000 + i) for i in range(80)], dtype=np.int64
+        )
+        for step in range(2):
+            self._both(pair, "store_batch", outs, CLASS_OUT, "out")
+            self._both(pair, "accumulate_store_batch", parts, "partial")
+            _assert_engines_agree(pair, f"after pass {step}")
+        self._both(pair, "store_batch", outs[:40], CLASS_OUT, "out")
+        self._both(pair, "accumulate_store_batch", parts[20:60], "partial")
+        _assert_engines_agree(pair, "after short runs")
+
+    #: Each vector path of the batched engine and the case above or
+    #: below that is built to drive it.
+    ENGAGEMENT_CASES = {
+        "_all_hit_lane": "test_all_hit_lane_refeed",
+        "_hit_run_epoch": "test_store_and_accumulate_hit_runs",
+        "_merge_miss_epoch": "test_merge_eviction_pressure",
+    }
+
+    @pytest.mark.parametrize("path", sorted(ENGAGEMENT_CASES))
+    def test_vector_path_engages(self, monkeypatch, path):
+        """The differential cases only prove a vector path exact if it
+        runs: a threshold change that switched it off would leave them
+        green.  Count the addresses the path consumes during its case."""
+        from repro.sim.engine import BatchedAccessExecuteEngine
+
+        inner = getattr(BatchedAccessExecuteEngine, path)
+        consumed = []
+
+        def counting(engine, *args, **kwargs):
+            m = inner(engine, *args, **kwargs)
+            consumed.append(m)
+            return m
+
+        monkeypatch.setattr(BatchedAccessExecuteEngine, path, counting)
+        getattr(self, self.ENGAGEMENT_CASES[path])()
+        assert sum(consumed) > 0, f"{path} consumed no addresses"
+
     # ------------------------------------------------------------------
-    # Merge/RMW epochs (``_merge_hit_epoch`` / ``_merge_miss_epoch``):
-    # runs of >= 64 (``_MERGE_HIT_MIN``) distinct resident
-    # already-touched addresses take the one-commit steady-state path.
+    # Merge/RMW traffic: ``_merge_miss_epoch`` takes runs of >= 8
+    # (``_EPOCH_MIN``) distinct touched-but-evicted addresses; every
+    # other merge frame, including the steady-state rmw hits, takes the
+    # flat loop.
     # ------------------------------------------------------------------
 
-    #: Comfortably past ``_MERGE_HIT_MIN`` so cut runs stay eligible.
+    #: Long enough for runs cut by duplicates or untouched addresses
+    #: to stay long.
     MERGE_N = 160
 
     def _merge_pair(self, capacity_lines=256, lsq_depth=128, **kw):
         """Engine pair plus one ``touched`` set per engine (the caller-
         owned cross-batch first-touch set; separate objects because the
         engines mutate it, identical contents by construction).  The
-        hit-epoch gather is capped at ``lsq_depth`` frames per attempt,
-        so the production depth (128 >= ``_MERGE_HIT_MIN``) is the
-        default here -- the suite-wide 16 would never engage it."""
+        production LSQ depth (128) is the default here, so the
+        forwarding window spans long stretches of a merge run."""
         pair = _make_engine_pair(
             capacity_lines=capacity_lines, lsq_depth=lsq_depth, **kw
         )
@@ -315,9 +378,9 @@ class TestEpochEngineDifferential:
             engine.merge_rmw_batch(addrs, CLASS_PARTIAL, "partial", t, track_peak)
 
     def test_merge_first_touch_then_steady_state(self):
-        """First pass write-allocates every line (merge miss epoch);
-        the next two passes are pure RMW-hit runs (merge hit epoch,
-        then again with the LRU order the first epoch left behind)."""
+        """First pass write-allocates every line; the next two passes
+        are pure RMW-hit runs on the flat path (the second with the LRU
+        order the first left behind)."""
         pair, touched = self._merge_pair()
         addrs = np.asarray(
             [self._saddr(i) for i in range(self.MERGE_N)], dtype=np.int64
@@ -330,10 +393,8 @@ class TestEpochEngineDifferential:
         _assert_engines_agree(pair, "after second steady-state pass")
 
     def test_merge_duplicate_cuts_hit_run(self):
-        """A duplicate inside a would-be merge-hit run: past the
-        threshold the run is cut at the repeat (second occurrence must
-        see the first frame's store-back); before the threshold the
-        epoch declines entirely to the flat rmw loop."""
+        """A duplicate inside an RMW-hit run, early and late: the
+        second occurrence must see the first frame's store-back."""
         for dup_at in (80, 10):
             pair, touched = self._merge_pair()
             idx = list(range(self.MERGE_N))
@@ -345,8 +406,8 @@ class TestEpochEngineDifferential:
             _assert_engines_agree(pair, f"steady state dup@{dup_at}")
 
     def test_merge_untouched_address_cuts_run(self):
-        """An untouched address mid-run cuts the hit run there: the
-        first 100 addresses RMW as one epoch, the rest first-touch."""
+        """An untouched address mid-run flips the frame shape there:
+        the first 100 addresses RMW, the rest first-touch."""
         pair, touched = self._merge_pair()
         warm = np.asarray([self._saddr(i) for i in range(100)], dtype=np.int64)
         self._merge_both(pair, touched, warm)
@@ -359,10 +420,9 @@ class TestEpochEngineDifferential:
 
     def test_merge_forwarding_window_overlap_resolves(self):
         """The forwarding window still holds the tail of the previous
-        pass's store-backs when the next pass starts: the overlap must
-        resolve (in-run stores never serve in-run loads -- distinct
-        addresses) rather than decline, and match the scalar engine's
-        forwarding accounting exactly."""
+        pass's store-backs when the next pass starts: loads of those
+        addresses forward, and the accounting must match the scalar
+        engine's exactly."""
         pair, touched = self._merge_pair()
         addrs = np.asarray(
             [self._saddr(i) for i in range(self.MERGE_N)], dtype=np.int64
@@ -377,9 +437,7 @@ class TestEpochEngineDifferential:
 
     def test_merge_mixed_space_run_declines(self):
         """A monotone run spanning two address spaces while the window
-        overlaps it: the epoch declines to the flat loop (per-space
-        insert tracking is not worth the vanishing case), which must be
-        invisible in the results."""
+        overlaps it: the per-space window counts must match."""
         pair, touched = self._merge_pair()
         lo = [self._laddr(i) for i in range(80)]
         hi = [self._saddr(i) for i in range(80)]
@@ -390,9 +448,10 @@ class TestEpochEngineDifferential:
         _assert_engines_agree(pair, "after mixed-space steady state")
 
     def test_merge_eviction_pressure(self):
-        """Runs far past capacity: touched-but-evicted lines RMW-miss,
-        the epoch cuts at residency boundaries, and the footprint peak
-        tracking must match through the evictions."""
+        """Runs far past capacity: touched-but-evicted lines RMW-miss
+        through the merge-miss epoch, which cuts at residency and
+        capacity boundaries, and the footprint peak tracking must match
+        through the evictions."""
         pair, touched = self._merge_pair(capacity_lines=24)
         addrs = np.asarray(
             [self._saddr(i) for i in range(self.MERGE_N)], dtype=np.int64
@@ -442,7 +501,7 @@ class TestEpochEngineDifferential:
 
     @pytest.mark.parametrize("seed", (0, 1, 2))
     def test_adversarial_epoch_fuzz(self, seed):
-        """Randomized batch streams skewed toward epoch-shaped work:
+        """Randomized batch streams skewed toward miss-run work:
         long distinct runs, partial overlaps with recent fills,
         duplicates, store/accumulate pressure, occasional invalidates.
         Stats, timelines, DRAM clock and residency compared after every

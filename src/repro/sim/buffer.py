@@ -39,8 +39,6 @@ from collections import OrderedDict, deque
 from itertools import islice, repeat
 from typing import Deque, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-import numpy as np
-
 from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.sim.memory import DRAM
 from repro.sim.stats import SimStats
@@ -138,11 +136,6 @@ class CacheBuffer:
         self._free_slots: List[int] = list(range(cap - 1, -1, -1))
         self._class_count: List[int] = [0] * _N_CLASSES
         self._slot_of: Dict[int, int] = {}
-        # Reusable residency-mask scratch for classify_batch (grown on
-        # demand, never shrunk) -- classification runs once per issued
-        # batch on every dataflow, so the per-call bool allocation was
-        # pure overhead.
-        self._mask_scratch: "np.ndarray" = np.empty(0, dtype=bool)
         self._evict_priority: Tuple[str, ...] = ()
         self._evict_order: Tuple[int, ...] = ()
         self.evict_priority = evict_priority
@@ -217,36 +210,6 @@ class CacheBuffer:
         route once per address batch instead of once per address.
         """
         return self
-
-    def classify_batch(self, addrs: "np.ndarray") -> "np.ndarray":
-        """Residency mask for a whole address batch (no LRU effects).
-
-        One vectorised membership pass against the slot map.  The mask
-        is only a valid *plan* while residency is invariant -- the
-        batched engine uses it for stream loads (which never allocate)
-        and falls back to per-address probes whenever an access could
-        insert or evict lines mid-batch.
-
-        The mask is a view into a per-buffer scratch array: it is only
-        valid until the *next* ``classify_batch`` call on the same
-        buffer.  Callers that need two live masks at once must either
-        classify on distinct buffers (the split pair's halves each own
-        their scratch) or copy -- every engine call site consumes the
-        mask before re-classifying.
-        """
-        n = len(addrs)
-        scratch = self._mask_scratch
-        if len(scratch) < n:
-            scratch = self._mask_scratch = np.empty(n, dtype=bool)
-        mask = scratch[:n]
-        slot_of = self._slot_of
-        if not slot_of:
-            mask[:] = False
-            return mask
-        mask[:] = np.fromiter(
-            map(slot_of.__contains__, addrs.tolist()), dtype=bool, count=n
-        )
-        return mask
 
     def set_tracer(self, tracer: Tracer) -> None:
         """Attach a tracer to this buffer's cold-path events."""
@@ -580,10 +543,6 @@ class CacheBuffer:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _touch_slot(self, slot: int) -> None:
-        """Mark a resident slot most-recently-used (one list splice)."""
-        self._lru_ods[self._slot_cls[slot]].move_to_end(slot)
-
     def _acquire_mshr(self, cycle: float) -> float:
         """Wait for a free MSHR; returns the (possibly delayed) issue cycle."""
         issue = float(cycle)

@@ -66,19 +66,30 @@ _HIT_RUN_MIN = 24
 #: takes one flat pass (see :func:`_flat_chunk`).
 _DECLINE_BUDGET = 2
 
-#: Exactness gate for the vector lanes: every timeline value must sit
-#: on the 2^-16 dyadic grid with magnitude below 2^35.  All simulator
-#: cycle values are sums of multiples of 1/64 (DRAM transfer costs) and
-#: integers (latencies, per-cycle steps), so in practice every value
-#: qualifies; the gate makes the lane *provably* bit-exact -- on-grid
-#: bounded operands make every add/max in the recurrence exact real
-#: arithmetic, and exact arithmetic makes the closed form identical to
-#: the sequential loop.  Any off-grid value falls back to the flat loop.
+#: Magnitude bound of the exactness gate for the closed forms: on a
+#: grid-exact configuration (``_lane_grid_exact``) every timeline value
+#: sits on the 2^-16 dyadic grid, and below 2^35 every add/max in the
+#: recurrences is exact real arithmetic, so the closed form is
+#: identical to the sequential loop.  Other configurations, and values
+#: at or past the bound, take the flat loop.
 _LANE_MAG = float(1 << 35)
 
 
-def _lane_scalar_ok(v: float) -> bool:
-    return -_LANE_MAG < v < _LANE_MAG and (v * 65536.0).is_integer()
+def _resident_prefix(slot_of: Dict[int, int], addrs: List[int]) -> List[int]:
+    """Slots of the longest resident prefix of ``addrs``.
+
+    One C-level gather; a raised KeyError means some later address is
+    non-resident, and direct probing then finds the prefix in O(prefix)
+    probes -- the KeyError guarantees the probe loop stops before the
+    end, so a short prefix never costs a full-tail residency pass.
+    """
+    try:
+        return list(map(slot_of.__getitem__, addrs))
+    except KeyError:
+        m = 0
+        while addrs[m] in slot_of:
+            m += 1
+        return list(map(slot_of.__getitem__, addrs[:m]))
 
 
 def _flat_chunk(
@@ -497,7 +508,7 @@ class BatchedAccessExecuteEngine(AccessExecuteEngine):
     verifies its own run and declines in O(1) probes, so an attempt is
     nearly free; the closed forms additionally only engage when an
     exactness gate proves them bit-identical to the sequential loop
-    (all operands on a dyadic grid, see ``_LANE_MAG``).
+    (a grid-exact configuration, see ``_lane_grid_exact``).
     Everything else takes the flat loop, which performs the *same
     scalar operations in the same order* as the reference engine.
     Either way every cycle value is bit-identical to the scalar engine
@@ -511,18 +522,19 @@ class BatchedAccessExecuteEngine(AccessExecuteEngine):
         # prefix (``addr >> _SPACE_BITS``), kept in sync with every
         # store-map insertion/trim; see :meth:`_forward_active`.
         self._store_spaces: Dict[int, int] = {}
-        # Cached [0, 1, ..., lsq_depth) for the vector lane's prefix-max
-        # recurrence (sliced per call, never reallocated).
+        # Cached [0, 1, ..., lsq_depth) for the ring-floor prefix max
+        # (sliced per call, never reallocated).
         self._lane_idx = np.arange(self.lsq_depth, dtype=np.float64)
-        # Whole-simulation grid proof for the vector lane.  Every cycle
-        # value any engine produces is built from the start cycle by
-        # max() and by adding 1.0, integer latencies, or DRAM transfer
-        # costs ``nbytes / bytes_per_cycle``.  When bytes_per_cycle is a
-        # power of two <= 2^16, every such cost is an exact multiple of
-        # 2^-16; with a nonnegative on-grid start cycle the induction
-        # gives *every* timeline/ring/ready/forwarding value nonnegative
-        # and on the 2^-16 grid, so the lane's per-array grid gate is
-        # provably redundant and only magnitude checks remain.
+        # Whole-simulation grid proof, the one exactness gate of the
+        # closed forms.  Every cycle value any engine produces is built
+        # from the start cycle by max() and by adding 1.0, integer
+        # latencies, or DRAM transfer costs ``nbytes / bytes_per_cycle``.
+        # When bytes_per_cycle is a power of two <= 2^16, every such
+        # cost is an exact multiple of 2^-16; with a nonnegative on-grid
+        # start cycle the induction gives *every* timeline/ring/ready/
+        # forwarding value nonnegative and on the 2^-16 grid, so only
+        # magnitude checks remain.  Other configurations never take a
+        # closed form.
         bpc = self.dram.config.bytes_per_cycle
         self._lane_grid_exact = (
             bpc > 0.0
@@ -559,14 +571,74 @@ class BatchedAccessExecuteEngine(AccessExecuteEngine):
         spaces = self._store_spaces
         sp = addr >> _SPACE_BITS
         spaces[sp] = spaces.get(sp, 0) + 1
-        while len(store_map) > self.lsq_depth:
-            a, _ = store_map.popitem(last=False)
-            sp = a >> _SPACE_BITS
-            c = spaces[sp] - 1
-            if c:
-                spaces[sp] = c
-            else:
-                del spaces[sp]
+        self._trim_window()
+
+    def _trim_window(self) -> None:
+        """Drop the oldest forwarding-window entries until at most
+        ``lsq_depth`` remain, keeping the space-prefix counts in step.
+
+        Store batches defer this to their end: the surviving window is
+        the last ``lsq_depth`` distinct addresses in last-store order
+        either way, and no forwarding lookup happens inside a store
+        batch.
+        """
+        store_map = self._store_map
+        depth = self.lsq_depth
+        over = len(store_map) - depth
+        if over <= 0:
+            return
+        spaces = self._store_spaces
+        pop = store_map.popitem
+        if len(spaces) == 1:
+            # Every window entry shares one space, so the count after
+            # trimming is the window size itself.
+            for _ in repeat(None, over):
+                pop(last=False)
+            for sp in spaces:
+                spaces[sp] = depth
+        else:
+            for _ in repeat(None, over):
+                a, _ = pop(last=False)
+                sp = a >> _SPACE_BITS
+                c = spaces[sp] - 1
+                if c:
+                    spaces[sp] = c
+                else:
+                    del spaces[sp]
+
+    def _ring_floor(self, t: float, w: int) -> np.ndarray:
+        """``max(t + 1, prefixmax(ring[k + j] - j))`` for ``j < w``, over
+        the next ``w <= lsq_depth`` LSQ ring slots from ``k = _k``.
+
+        The shared unrolling of ``b_j = max(b_(j-1) + 1, ring[k + j])``
+        from ``b_(-1) = t``: ``b_j = j + floor_j``.  Exact on a
+        grid-exact configuration below ``_LANE_MAG``.
+        """
+        ring = self._ring
+        depth = self.lsq_depth
+        k = self._k % depth
+        if k + w <= depth:
+            S = np.array(ring[k : k + w], dtype=np.float64)
+        else:
+            cut = depth - k
+            S = np.empty(w, dtype=np.float64)
+            S[:cut] = ring[k:]
+            S[cut:] = ring[: w - cut]
+        np.subtract(S, self._lane_idx[:w], out=S)
+        np.maximum.accumulate(S, out=S)
+        return np.maximum(S, t + 1.0, out=S)
+
+    def _ring_write(self, start: int, vals: List[float]) -> None:
+        """Write ``vals`` (at most ``lsq_depth`` of them) to consecutive
+        LSQ ring slots from ``start``, wrapping: two slice assignments."""
+        ring = self._ring
+        c = len(vals)
+        cut = self.lsq_depth - start
+        if c <= cut:
+            ring[start : start + c] = vals
+        else:
+            ring[start:] = vals[:cut]
+            ring[: c - cut] = vals[cut:]
 
     def _forward_active(self, addr_list: List[int]) -> bool:
         """Whether the forwarding window could match *any* address of
@@ -600,10 +672,11 @@ class BatchedAccessExecuteEngine(AccessExecuteEngine):
           per-element ready is exactly ``issue + hit_latency``;
         * the caller established the forwarding window cannot match
           (space filter empty), so no per-address store-map probe;
-        * ``issue_t``/``exec_t`` and every consumed LSQ ring value on
-          the 2^-16 grid with magnitude < 2^35, so the closed-form
-          recurrences below are exact real arithmetic -- the same
-          per-element operations as the flat loop, just elementwise.
+        * a grid-exact configuration (``_lane_grid_exact``) and
+          ``issue_t``/``exec_t`` and every consumed LSQ ring value
+          below 2^35, so the closed-form recurrences below are exact
+          real arithmetic -- the same per-element operations as the
+          flat loop, just elementwise.
 
         With ``S_j`` the pre-lane ring values (``j < depth``), the
         sequential all-hit recurrences
@@ -644,27 +717,17 @@ class BatchedAccessExecuteEngine(AccessExecuteEngine):
             return 0
         issue_t = self.issue_t
         exec_t = self.exec_t
-        if self._lane_grid_exact:
-            # On-grid and nonnegative by construction; bound magnitude.
-            if issue_t >= _LANE_MAG or exec_t >= _LANE_MAG:
-                return 0
-        elif not (_lane_scalar_ok(issue_t) and _lane_scalar_ok(exec_t)):
+        # On-grid and nonnegative by construction; bound magnitude.
+        if (
+            not self._lane_grid_exact
+            or issue_t >= _LANE_MAG
+            or exec_t >= _LANE_MAG
+        ):
             return 0
-        n = len(addr_list)
-        try:
-            slot_list = list(map(slot_of.__getitem__, addr_list))
-            m = n
-        except KeyError:
-            # Some later address is non-resident: find the resident
-            # prefix by direct probing -- the raised KeyError guarantees
-            # the loop stops before the end, so a short prefix costs
-            # O(prefix) probes, never a full-tail residency pass.
-            m = 1
-            while addr_list[m] in slot_of:
-                m += 1
-            if m < _LANE_MIN:
-                return 0
-            slot_list = list(map(slot_of.__getitem__, addr_list[:m]))
+        slot_list = _resident_prefix(slot_of, addr_list)
+        m = len(slot_list)
+        if m < _LANE_MIN:
+            return 0
         hit_lat = buf.hit_latency
         floor0 = issue_t + 1.0 + hit_lat
         if buf._max_ready > floor0:
@@ -681,59 +744,27 @@ class BatchedAccessExecuteEngine(AccessExecuteEngine):
             # only pre-lane ring slots instead.
             m = depth
             slot_list = slot_list[:m]
-        ring = self._ring
         k0 = self._k % depth
         w = m if m < depth else depth
-        if k0 + w <= depth:
-            S = np.array(ring[k0 : k0 + w], dtype=np.float64)
-        else:
-            cut = depth - k0
-            S = np.empty(w, dtype=np.float64)
-            S[:cut] = ring[k0:]
-            S[cut:] = ring[: w - cut]
+        base = self._ring_floor(issue_t, w)
+        # ``bl + depth`` bounds every consumed ring value, so one scalar
+        # comparison is the magnitude gate.  (An over-bound value makes
+        # ``bl`` huge even under rounding, so the check is safe.)
+        bl = float(base[w - 1])
+        if bl + depth >= _LANE_MAG:
+            return 0
         idx = self._lane_idx[:w]
-        if self._lane_grid_exact:
-            # Ring values are on-grid and nonnegative by construction
-            # (see ``__init__``); compute the prefix max in place and
-            # bound the magnitude afterwards -- ``bl + depth`` bounds
-            # every consumed ring value, so one scalar comparison
-            # replaces the per-array gate.  (An over-bound value makes
-            # ``bl`` huge even under rounding, so the check is safe.)
-            np.subtract(S, idx, out=S)
-            np.maximum.accumulate(S, out=S)
-            base = np.maximum(S, issue_t + 1.0, out=S)
-            bl = float(base[w - 1])
-            if bl + depth >= _LANE_MAG:
-                return 0
-        else:
-            # Exactness gate on the consumed pre-lane ring values
-            # (values the lane writes are grid sums of grid values,
-            # still exact).
-            scaled = S * 65536.0
-            if not (
-                (np.abs(S) < _LANE_MAG).all()
-                and (scaled == np.floor(scaled)).all()
-            ):
-                return 0
-            base = np.maximum(issue_t + 1.0, np.maximum.accumulate(S - idx))
-            bl = float(base[w - 1])
         h = float(hit_lat)
+        np.add(base, h, out=base)
         if mac:
-            np.add(base, h, out=base)
             np.maximum(base, exec_t + 1.0, out=base)
             np.add(base, idx, out=base)
             e_head = base.tolist()
         else:
-            np.add(base, h, out=base)
             np.add(base, idx, out=base)
             e_head = np.maximum(base, exec_t, out=base).tolist()
         if m <= depth:
-            if k0 + m <= depth:
-                ring[k0 : k0 + m] = e_head
-            else:
-                cut = depth - k0
-                ring[k0:] = e_head[:cut]
-                ring[: m - cut] = e_head[cut:]
+            self._ring_write(k0, e_head)
             exec_last = e_head[-1]
         else:
             # The final ring state is E_i for the last `depth` elements;
@@ -749,10 +780,7 @@ class BatchedAccessExecuteEngine(AccessExecuteEngine):
                     exec_t, np.arange(start_i, m, dtype=np.float64) + (bl + h)
                 ).tolist()
             tail_vals = (e_head[lo:] + aff) if lo < depth else aff
-            p0 = (k0 + lo) % depth
-            cut = depth - p0
-            ring[p0:] = tail_vals[:cut]
-            ring[:p0] = tail_vals[cut:]
+            self._ring_write((k0 + lo) % depth, tail_vals)
             exec_last = tail_vals[-1]
         self.issue_t = (m - 1) + max(issue_t + 1.0, bl)
         self.exec_t = exec_last
@@ -821,23 +849,12 @@ class BatchedAccessExecuteEngine(AccessExecuteEngine):
             # non-resident cursor address is the common case; bail
             # before any allocation.
             return 0
-        n = len(addr_list)
         tail = addr_list[i:] if i else addr_list
-        try:
-            # C-level gather, same trick as _all_hit_lane: the raised
-            # KeyError finds the resident prefix without a Python loop.
-            slots = list(map(slot_of.__getitem__, tail))
-            run = tail
-            m = n - i
-        except KeyError:
-            j = i + 1
-            while j < n and addr_list[j] in slot_of:
-                j += 1
-            m = j - i
-            if m < _HIT_RUN_MIN:
-                return 0
-            run = addr_list[i:j]
-            slots = list(map(slot_of.__getitem__, run))
+        slots = _resident_prefix(slot_of, tail)
+        m = len(slots)
+        if m < _HIT_RUN_MIN:
+            return 0
+        run = tail if m == len(tail) else tail[:m]
         rset = set(run)
         if len(rset) != m:
             # A duplicate cuts the run: rescan for the first repeat.
@@ -854,8 +871,6 @@ class BatchedAccessExecuteEngine(AccessExecuteEngine):
             run = run[:m]
             slots = slots[:m]
             rset = seen
-        if m < _HIT_RUN_MIN:
-            return 0
         hit_lat = buf.hit_latency
         ring = self._ring
         depth = self.lsq_depth
@@ -870,29 +885,16 @@ class BatchedAccessExecuteEngine(AccessExecuteEngine):
             # of the closed form cost more than the flat-in-locals
             # loop they replace (measured on the hymm/op-tiled
             # accumulate distributions, which cluster at m = 8..48).
-            # Closed form (see docstring).  Prefix-max over the at most
-            # ``depth`` pre-epoch ring values the run can observe:
+            # Closed form (see docstring) over the at most ``depth``
+            # pre-epoch ring values the run can observe:
             w = m if m < depth else depth
-            if k + w <= depth:
-                S = np.array(ring[k : k + w], dtype=np.float64)
-            else:
-                cut = depth - k
-                S = np.empty(w, dtype=np.float64)
-                S[:cut] = ring[k:]
-                S[cut:] = ring[: w - cut]
-            idx = self._lane_idx[:w]
-            np.subtract(S, idx, out=S)
-            np.maximum.accumulate(S, out=S)
-            np.maximum(S, write_t + 1.0, out=S)
-            np.add(S, idx, out=S)  # b_f for f = 1..w
+            S = self._ring_floor(write_t, w)
+            np.add(S, self._lane_idx[:w], out=S)  # b_f for f = 1..w
             r = m - w
             if r:
                 bw = float(S[w - 1])
-                if bw + 1.0 >= exec_t:
-                    tail = np.arange(r, dtype=np.float64) + (bw + 1.0)
-                else:
-                    tail = np.arange(r, dtype=np.float64) + exec_t
-                b_all = np.concatenate([S, tail])
+                b0 = bw + 1.0 if bw + 1.0 >= exec_t else exec_t
+                b_all = np.concatenate([S, np.arange(r, dtype=np.float64) + b0])
             else:
                 b_all = S
             b_last = float(b_all[m - 1])
@@ -905,15 +907,7 @@ class BatchedAccessExecuteEngine(AccessExecuteEngine):
                 f0 = m - depth + 1 if m > depth else 1
                 wvals = b_all[f0 - 1 :] + 1.0
                 np.maximum(wvals, exec_t, out=wvals)
-                wl = wvals.tolist()
-                c = len(wl)
-                start = (k + f0 - 1) % depth
-                seg = depth - start
-                if c <= seg:
-                    ring[start : start + c] = wl
-                else:
-                    ring[start:] = wl[:seg]
-                    ring[: c - seg] = wl[seg:]
+                self._ring_write((k + f0 - 1) % depth, wvals.tolist())
                 k = (k + m) % depth
                 write_t = b_last
         if readies is None:
@@ -1193,6 +1187,19 @@ class BatchedAccessExecuteEngine(AccessExecuteEngine):
     # Batch primitives (inlined fast paths)
     # ------------------------------------------------------------------
     def mac_load_batch(self, addrs: np.ndarray, cls: str, tag: str) -> None:
+        self._load_batch(addrs, cls, tag, True)
+
+    def load_batch(self, addrs: np.ndarray, cls: str, tag: str) -> None:
+        self._load_batch(addrs, cls, tag, False)
+
+    def _load_batch(
+        self, addrs: np.ndarray, cls: str, tag: str, mac: bool
+    ) -> None:
+        """The one loop behind :meth:`mac_load_batch` (``mac=True``) and
+        :meth:`load_batch`.  The backend step is ``exec_t + 1.0`` for a
+        MAC and ``exec_t + 0.0`` -- which is ``exec_t`` exactly -- for a
+        plain fetch, so both shapes perform the scalar primitive's own
+        float operations."""
         n = len(addrs)
         if n == 0:
             return
@@ -1213,6 +1220,7 @@ class BatchedAccessExecuteEngine(AccessExecuteEngine):
         store_map = self._store_map
         ring = self._ring
         depth = self.lsq_depth
+        step = 1.0 if mac else 0.0
         hits = 0
         misses = 0
         fetches = 0
@@ -1230,7 +1238,7 @@ class BatchedAccessExecuteEngine(AccessExecuteEngine):
             target = n
             if rounds and n - i >= _LANE_MIN:
                 consumed = self._all_hit_lane(
-                    buf, addr_list[i:] if i else addr_list, mac=True
+                    buf, addr_list[i:] if i else addr_list, mac
                 )
                 if consumed:
                     hits += consumed
@@ -1273,7 +1281,7 @@ class BatchedAccessExecuteEngine(AccessExecuteEngine):
                             fetches += 1
                             ready, issue = read_miss(issue, addr, cls, tag)
                 issue_t = issue
-                e = exec_t + 1.0
+                e = exec_t + step
                 if ready > e:
                     e = ready
                 exec_t = e
@@ -1286,7 +1294,8 @@ class BatchedAccessExecuteEngine(AccessExecuteEngine):
             self._k += target - i
             i = target
         stats.requests_issued += n
-        stats.busy_cycles += n
+        if mac:
+            stats.busy_cycles += n
         if hits:
             stats.buffer_hits[tag] += hits
         if misses:
@@ -1297,109 +1306,8 @@ class BatchedAccessExecuteEngine(AccessExecuteEngine):
             stats.lsq_forwards += forwards
         if tracer.enabled:
             tracer.span(
-                "mac_load_batch", t0, self.drain(), "engine",
-                {"n": n, "cls": cls, "tag": tag},
-            )
-
-    def load_batch(self, addrs: np.ndarray, cls: str, tag: str) -> None:
-        n = len(addrs)
-        if n == 0:
-            return
-        tracer = self.tracer
-        t0 = self.drain()
-        stats = self.stats
-        buf = self.buffer.route(cls)
-        addr_list = addrs.tolist()
-        fwd = self._forward_active(addr_list)
-        slot_of = buf._slot_of
-        slot_ready = buf._slot_ready
-        ods = buf._lru_mte
-        cls_arr = buf._slot_cls
-        outstanding = buf._outstanding
-        read_miss = buf._read_miss
-        lru = buf.lru
-        hit_lat = buf.hit_latency
-        store_map = self._store_map
-        ring = self._ring
-        depth = self.lsq_depth
-        hits = 0
-        misses = 0
-        fetches = 0
-        forwards = 0
-        i = 0
-        # Lazy lane attempts with a decline budget; see
-        # :meth:`mac_load_batch`.
-        rounds = 0 if fwd else _DECLINE_BUDGET
-        while i < n:
-            target = n
-            if rounds and n - i >= _LANE_MIN:
-                consumed = self._all_hit_lane(
-                    buf, addr_list[i:] if i else addr_list, mac=False
-                )
-                if consumed:
-                    hits += consumed
-                    i += consumed
-                    rounds = _DECLINE_BUDGET
-                    continue
-                rounds, target = _flat_chunk(rounds, addr_list, i, slot_of)
-            k = self._k % depth
-            issue_t = self.issue_t
-            exec_t = self.exec_t
-            for addr in addr_list[i:target]:
-                slot = ring[k]
-                issue = issue_t + 1.0
-                if slot > issue:
-                    issue = slot
-                if fwd and addr in store_map:
-                    ready = store_map[addr]
-                    if issue > ready:
-                        ready = issue
-                    forwards += 1
-                else:
-                    s = slot_of.get(addr)
-                    if s is not None:
-                        if lru:
-                            ods[cls_arr[s]](s)
-                        hits += 1
-                        ready = issue + hit_lat
-                        sr = slot_ready[s]
-                        if sr > ready:
-                            ready = sr
-                    else:
-                        misses += 1
-                        pending = outstanding.get(addr)
-                        if pending is not None:
-                            ready = issue + hit_lat
-                            if pending > ready:
-                                ready = pending
-                        else:
-                            fetches += 1
-                            ready, issue = read_miss(issue, addr, cls, tag)
-                issue_t = issue
-                # A plain fetch: the backend waits but records no busy MAC.
-                if ready > exec_t:
-                    exec_t = ready
-                ring[k] = exec_t
-                k += 1
-                if k == depth:
-                    k = 0
-            self.issue_t = issue_t
-            self.exec_t = exec_t
-            self._k += target - i
-            i = target
-        stats.requests_issued += n
-        if hits:
-            stats.buffer_hits[tag] += hits
-        if misses:
-            stats.buffer_misses[tag] += misses
-        if fetches:
-            stats.dram_read_bytes[tag] += fetches * buf.line_bytes
-        if forwards:
-            stats.lsq_forwards += forwards
-        if tracer.enabled:
-            tracer.span(
-                "load_batch", t0, self.drain(), "engine",
-                {"n": n, "cls": cls, "tag": tag},
+                "mac_load_batch" if mac else "load_batch", t0, self.drain(),
+                "engine", {"n": n, "cls": cls, "tag": tag},
             )
 
     def mac_stream_load_batch(self, addrs: np.ndarray, cls: str, tag: str) -> None:
@@ -1411,9 +1319,8 @@ class BatchedAccessExecuteEngine(AccessExecuteEngine):
         top = self.buffer
         buf = top.route(cls)
         addr_list = addrs.tolist()
-        # One residency pass against the routed half only (straight
-        # into a list -- the per-address loop below consumes it
-        # elementwise, so a numpy mask would just round-trip); the
+        # One residency pass against the routed half only, straight
+        # into a list the per-address loop below consumes; the
         # scalar reference consults top-level contains(), but the two
         # agree whenever no address is resident in the *other* half.
         slot_of = buf._slot_of
@@ -1437,7 +1344,7 @@ class BatchedAccessExecuteEngine(AccessExecuteEngine):
                 AccessExecuteEngine.mac_stream_load_batch(self, addrs, cls, tag)
                 return
         # Residency is invariant across the batch: hits never allocate
-        # and streamed lines are never inserted, so the mask stays true.
+        # and streamed lines are never inserted, so the residency list stays true.
         stats = self.stats
         slot_ready = buf._slot_ready
         ods = buf._lru_mte
@@ -1625,28 +1532,7 @@ class BatchedAccessExecuteEngine(AccessExecuteEngine):
             self._k += target - i
             i = target
         if fwd:
-            # Deferred trim: the surviving window is the last lsq_depth
-            # distinct addresses in last-store order either way, and no
-            # forwarding lookup happens inside a store batch.
-            over = len(store_map) - depth
-            if over > 0:
-                pop = store_map.popitem
-                if len(spaces) == 1:
-                    # Every window entry shares one space, so the count
-                    # after trimming is the window size itself.
-                    for _ in repeat(None, over):
-                        pop(last=False)
-                    for sp in spaces:
-                        spaces[sp] = depth
-                else:
-                    for _ in repeat(None, over):
-                        a, _ = pop(last=False)
-                        sp = a >> _SPACE_BITS
-                        c = spaces[sp] - 1
-                        if c:
-                            spaces[sp] = c
-                        else:
-                            del spaces[sp]
+            self._trim_window()
         if mr > buf._max_ready:
             buf._max_ready = mr
         stats.requests_issued += n
@@ -1785,23 +1671,7 @@ class BatchedAccessExecuteEngine(AccessExecuteEngine):
             self._k += target - i
             i = target
         if fwd:
-            over = len(store_map) - depth
-            if over > 0:
-                pop = store_map.popitem
-                if len(spaces) == 1:
-                    for _ in repeat(None, over):
-                        pop(last=False)
-                    for sp in spaces:
-                        spaces[sp] = depth
-                else:
-                    for _ in repeat(None, over):
-                        a, _ = pop(last=False)
-                        sp = a >> _SPACE_BITS
-                        c = spaces[sp] - 1
-                        if c:
-                            spaces[sp] = c
-                        else:
-                            del spaces[sp]
+            self._trim_window()
         if mr > buf._max_ready:
             buf._max_ready = mr
         stats.partials_produced = pp

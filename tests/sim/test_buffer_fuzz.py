@@ -21,11 +21,13 @@ preserved verbatim.
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from repro.sim.buffer import ALL_CLASSES, CLASS_OUT, CLASS_PARTIAL, CacheBuffer
+from repro.sim.engine import _SPACE_BITS
 from repro.sim.memory import DRAM, DRAMConfig
 from repro.sim.stats import SimStats
 
@@ -130,11 +132,10 @@ def test_differential_fuzz(seed):
 
         if step % 64 == 0:
             # Residency probes are side-effect-free and must agree.
-            probe = np.asarray(rng.sample(addrs, 16), dtype=np.int64)
-            assert (
-                ref.classify_batch(probe).tolist()
-                == arena.classify_batch(probe).tolist()
-            )
+            probe = rng.sample(addrs, 16)
+            assert [ref.contains(a) for a in probe] == [
+                arena.contains(a) for a in probe
+            ]
             a = rng.choice(addrs)
             assert ref.contains(a) == arena.contains(a)
             assert _observables(ref) == _observables(arena), f"step {step}"
@@ -151,17 +152,21 @@ def _make_engine_pair(
     capacity_lines=CAPACITY_LINES,
     lsq_depth=16,
     forwarding=True,
+    bytes_per_cycle=64.0,
 ):
     """(scalar engine over the legacy reference buffer, batched engine
     over the arena buffer) with identical geometry -- the full
     cross-implementation differential: the batched engine's epoch and
-    lane fast paths against the scalar loops over the legacy core."""
+    lane fast paths against the scalar loops over the legacy core.  A
+    ``bytes_per_cycle`` that is not a power of two makes the
+    configuration off-grid, where the batched engine takes no closed
+    form."""
     from repro.sim.engine import make_engine
 
     out = []
     for factory, engine_kind in ((_ReferenceBuffer, "scalar"), (CacheBuffer, "batched")):
         stats = SimStats()
-        dram = DRAM(DRAMConfig(), stats)
+        dram = DRAM(DRAMConfig(bytes_per_cycle=bytes_per_cycle), stats)
         buf = factory(
             capacity_lines=capacity_lines,
             line_bytes=LINE_BYTES,
@@ -185,6 +190,13 @@ def _assert_engines_agree(pair, context=""):
     ), f"timelines diverge {context}"
     assert sd.next_free == bd.next_free, f"DRAM clock diverges {context}"
     assert _observables(sb) == _observables(bb), f"residency diverges {context}"
+    # LSQ ring, its cursor and the forwarding window in insertion order.
+    assert se.snapshot_state() == be.snapshot_state(), (
+        f"engine state diverges {context}"
+    )
+    assert be._store_spaces == dict(
+        Counter(a >> _SPACE_BITS for a in be._store_map)
+    ), f"space-prefix counts diverge from the window {context}"
 
 
 class TestEpochEngineDifferential:
@@ -290,12 +302,14 @@ class TestEpochEngineDifferential:
         self._both(pair, "mac_load_batch", loads, "W", "adj")
         _assert_engines_agree(pair)
 
-    def test_all_hit_lane_refeed(self):
+    @pytest.mark.parametrize("bytes_per_cycle", [64.0, 48.0])
+    def test_all_hit_lane_refeed(self, bytes_per_cycle):
         """Batches of >= 48 (``_LANE_MIN``) resident addresses, repeats
         included, take the all-hit vector lane once the issue timeline
         has passed the lines' ready times; both the MAC and the plain
-        load recurrence."""
-        pair = _make_engine_pair()
+        load recurrence.  At 48 bytes/cycle the configuration is
+        off-grid and the same batches take the flat loop."""
+        pair = _make_engine_pair(bytes_per_cycle=bytes_per_cycle)
         lines = [self._laddr(i) for i in range(16)]
         burst = np.asarray(lines, dtype=np.int64)
         refeed = np.asarray(lines * 4, dtype=np.int64)
@@ -306,12 +320,15 @@ class TestEpochEngineDifferential:
             self._both(pair, method, refeed, "W", "adj")
             _assert_engines_agree(pair, f"after refeed {step} ({method})")
 
-    def test_store_and_accumulate_hit_runs(self):
+    @pytest.mark.parametrize("bytes_per_cycle", [64.0, 48.0])
+    def test_store_and_accumulate_hit_runs(self, bytes_per_cycle):
         """Re-storing and re-accumulating distinct resident lines: runs
         of >= 24 (``_HIT_RUN_MIN``) take the hit-run epoch, past 64 in
-        its closed form, with the forwarding window overlapping the
-        run."""
-        pair = _make_engine_pair(capacity_lines=192)
+        its closed form (on the grid-exact 64 bytes/cycle only), with
+        the forwarding window overlapping the run."""
+        pair = _make_engine_pair(
+            capacity_lines=192, bytes_per_cycle=bytes_per_cycle
+        )
         outs = np.asarray([self._saddr(i) for i in range(80)], dtype=np.int64)
         parts = np.asarray(
             [self._saddr(0x4000 + i) for i in range(80)], dtype=np.int64
@@ -325,11 +342,12 @@ class TestEpochEngineDifferential:
         _assert_engines_agree(pair, "after short runs")
 
     #: Each vector path of the batched engine and the case above or
-    #: below that is built to drive it.
+    #: below that is built to drive it, with its arguments (the
+    #: grid-exact 64 bytes/cycle where the case takes one).
     ENGAGEMENT_CASES = {
-        "_all_hit_lane": "test_all_hit_lane_refeed",
-        "_hit_run_epoch": "test_store_and_accumulate_hit_runs",
-        "_merge_miss_epoch": "test_merge_eviction_pressure",
+        "_all_hit_lane": ("test_all_hit_lane_refeed", (64.0,)),
+        "_hit_run_epoch": ("test_store_and_accumulate_hit_runs", (64.0,)),
+        "_merge_miss_epoch": ("test_merge_eviction_pressure", ()),
     }
 
     @pytest.mark.parametrize("path", sorted(ENGAGEMENT_CASES))
@@ -348,7 +366,8 @@ class TestEpochEngineDifferential:
             return m
 
         monkeypatch.setattr(BatchedAccessExecuteEngine, path, counting)
-        getattr(self, self.ENGAGEMENT_CASES[path])()
+        case, args = self.ENGAGEMENT_CASES[path]
+        getattr(self, case)(*args)
         assert sum(consumed) > 0, f"{path} consumed no addresses"
 
     # ------------------------------------------------------------------
